@@ -14,16 +14,19 @@ parsed record re-prices to identical values. Flags override an optional
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
 3 numerical failure.
+
+``--threads`` is accepted (it must be at least 1) and has no effect: Monte
+Carlo blocks and sweep rows run serially, so output never depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .contracts import ContractSpec, MarketParams
 from .montecarlo import McConfig, simulate_ms, simulate_msln
@@ -54,7 +57,10 @@ DEFAULTS = {
     "antithetic": False,
 }
 
-_AXES = ("vol", "cap", "floor", "rate", "div", "months")
+#: Sweep axis -> the ContractSpec or MarketParams field it sets.
+_AXIS_FIELDS = {"vol": "sigma", "cap": "cap", "floor": "floor", "rate": "rate",
+                "div": "dividend_yield", "months": "periods"}
+_AXES = tuple(_AXIS_FIELDS)
 
 _CONFIG_KEYS = {
     "cap", "floor", "vol", "rate", "div", "term", "months", "order", "format",
@@ -249,27 +255,14 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
 def _apply_axis(
     axis: str, value: float, contract: ContractSpec, market: MarketParams
 ) -> tuple[ContractSpec, MarketParams]:
-    if axis == "vol":
-        return contract, MarketParams(
-            market.rate, market.dividend_yield, value, market.term, market.periods
-        )
-    if axis == "rate":
-        return contract, MarketParams(
-            value, market.dividend_yield, market.sigma, market.term, market.periods
-        )
-    if axis == "div":
-        return contract, MarketParams(
-            market.rate, value, market.sigma, market.term, market.periods
-        )
     if axis == "months":
         if abs(value - round(value)) > 1e-9:
             raise ValueError(f"months axis requires integer values, got {value!r}")
-        return contract, MarketParams(
-            market.rate, market.dividend_yield, market.sigma, market.term, int(round(value))
-        )
-    if axis == "cap":
-        return ContractSpec(cap=value, floor=contract.floor), market
-    return ContractSpec(cap=contract.cap, floor=value), market
+        value = int(round(value))
+    field = _AXIS_FIELDS[axis]
+    if field in ("cap", "floor"):
+        return dataclasses.replace(contract, **{field: value}), market
+    return contract, dataclasses.replace(market, **{field: value})
 
 
 def cmd_sweep(ns: argparse.Namespace, config: dict[str, str]) -> int:
@@ -314,12 +307,7 @@ def cmd_sweep(ns: argparse.Namespace, config: dict[str, str]) -> int:
 
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads!r}")
-    if threads == 1:
-        rows = [price_row(pair) for pair in rows_in]
-    else:
-        # rows evaluate concurrently; emission order stays the axis order
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(price_row, rows_in))
+    rows = [price_row(pair) for pair in rows_in]
 
     columns = ["axis", "axis_value", "ms0", "ms0_plus_ms1"]
     if cfg is not None:
@@ -400,7 +388,9 @@ def _add_mc_flags(parser: argparse.ArgumentParser, paths_help: str) -> None:
     parser.add_argument(
         "--antithetic", action="store_const", const=True, help="antithetic variate pairing"
     )
-    parser.add_argument("--threads", type=int, help="worker threads (default 1)")
+    parser.add_argument(
+        "--threads", type=int, help="accepted for compatibility; has no effect (default 1)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,14 +11,17 @@ its first three raw moments
           + cap_mass * log_cap^n
 
 two ways: by closed form, and by adaptive quadrature on the standardized
-variable. The quadrature is the module's ground truth.
+variable. The quadrature is the module's ground truth. Both closed forms,
+cap-only and cap-and-floor, come from one partial-moment kernel
+P_n(u) = int_{-inf}^{u} (m + s*z)^n phi(z) dz.
 
 Each closed form exists in two variants. ``"corrected"`` (the default) is
 the re-derived expression that agrees with quadrature to 1e-9 relative
 across the validation grid. ``"printed"`` is the uncorrected transcription
-the corrected forms replace; it is retained verbatim so the validation
-suite can demonstrate numerically where it is defective (see
-:mod:`monthlysum.validation` and the ``--printed-formulas`` CLI flag).
+the corrected forms replace; it is retained verbatim in
+:mod:`monthlysum._printed` so the validation suite can demonstrate
+numerically where it is defective (see :mod:`monthlysum.validation` and the
+``--printed-formulas`` CLI flag).
 """
 
 from __future__ import annotations
@@ -31,7 +34,11 @@ from scipy import integrate
 from scipy.special import erfc
 
 from .contracts import ContractSpec, MarketParams
-from .errors import DegenerateVolatilityError, QuadratureConvergenceError
+from .errors import (
+    DegenerateVolatilityError,
+    NonpositiveVarianceError,
+    QuadratureConvergenceError,
+)
 
 __all__ = [
     "CORRECTED",
@@ -147,7 +154,7 @@ class MomentSet:
 
     def __post_init__(self) -> None:
         if self.i2 - self.i1 * self.i1 <= 0.0:
-            raise ValueError(
+            raise NonpositiveVarianceError(
                 f"moment set implies nonpositive variance: i1={self.i1!r}, i2={self.i2!r}"
             )
 
@@ -217,72 +224,66 @@ def moment_quadrature(n: int, market: MarketParams, contract: ContractSpec) -> f
     return total
 
 
+def _partial_moment(n: int, m: float, s: float, u: float) -> float:
+    """P_n(u) = integral over z < u of (m + s*z)^n phi(z) dz, for n = 1, 2, 3.
+
+    Expands (m + s*z)^n and uses the partial Gaussian moments
+    int_{-inf}^{u} z^k phi(z) dz for k = 0..3.
+    """
+    cdf = standard_normal_cdf(u)
+    pdf = standard_normal_pdf(u)
+    if n == 1:
+        return m * cdf - s * pdf
+    if n == 2:
+        return (m * m + s * s) * cdf - (s * s * u + 2.0 * m * s) * pdf
+    return (
+        (m * m * m + 3.0 * m * s * s) * cdf
+        - (3.0 * m * m * s + 3.0 * m * s * s * u + s * s * s * (u * u + 2.0)) * pdf
+    )
+
+
+def _power(x: float, n: int) -> float:
+    """x^n for n = 1, 2, 3 as repeated products; pow can round differently."""
+    return x if n == 1 else x * x if n == 2 else x * x * x
+
+
+def _closed_moment(n: int, market: MarketParams, contract: ContractSpec, variant: str) -> float:
+    """Closed-form I_n: the Gaussian body between the bounds plus their atoms.
+
+    Cap-only: I_n = P_n(c~) + c^n cap_mass. With a floor:
+    I_n = P_n(c~) - P_n(f~) + f^n floor_mass + c^n cap_mass.
+    """
+    printed = _is_printed(variant)
+    if n not in (1, 2, 3):
+        raise ValueError(f"moment order must be 1, 2 or 3, got {n!r}")
+    if printed:
+        from . import _printed  # imported late: _printed itself imports this module
+
+        fn = _printed.capped_moment if contract.floor is None else _printed.floored_moment
+        return fn(n, market, contract)
+    m, s = _monthly_scale(market)
+    geo = truncation_geometry(market, contract)
+    total = _partial_moment(n, m, s, geo.c_tilde)
+    if contract.floor is not None:
+        total = (
+            total
+            - _partial_moment(n, m, s, geo.f_tilde)
+            + _power(contract.log_floor, n) * geo.floor_mass
+        )
+    return total + _power(contract.log_cap, n) * geo.cap_mass
+
+
 def capped_moment_closed(
     n: int, market: MarketParams, contract: ContractSpec, variant: str = CORRECTED
 ) -> float:
     """Closed-form I_n for a cap-only contract.
 
-    The corrected forms follow from the partial Gaussian moments
-    int_{-inf}^{u} z^k phi(z) dz for k = 0..3; the printed variant of I_2
-    carries exp(-c~^2) where the derivation requires exp(-c~^2/2).
+    The corrected form is P_n(c~) + c^n * cap_mass; the printed variant of
+    I_2 carries exp(-c~^2) where the derivation requires exp(-c~^2/2).
     """
     if contract.floor is not None:
         raise ValueError("capped_moment_closed handles cap-only contracts; use capped_floored_moment_closed")
-    _check_variant(variant)
-    if n not in (1, 2, 3):
-        raise ValueError(f"moment order must be 1, 2 or 3, got {n!r}")
-    m, s = _monthly_scale(market)
-    geo = truncation_geometry(market, contract)
-    ct = geo.c_tilde
-    cap_mass = geo.cap_mass
-    cdf_c = standard_normal_cdf(ct)
-    pdf_c = standard_normal_pdf(ct)
-    c = contract.log_cap
-
-    if variant == PRINTED:
-        return _capped_moment_printed(n, market, ct, c)
-    if n == 1:
-        return m * cdf_c - s * pdf_c + c * cap_mass
-    if n == 2:
-        return (m * m + s * s) * cdf_c - (s * s * ct + 2.0 * m * s) * pdf_c + c * c * cap_mass
-    return (
-        (m * m * m + 3.0 * m * s * s) * cdf_c
-        - (3.0 * m * m * s + 3.0 * m * s * s * ct + s * s * s * (ct * ct + 2.0)) * pdf_c
-        + c * c * c * cap_mass
-    )
-
-
-def _capped_moment_printed(n: int, market: MarketParams, ct: float, c: float) -> float:
-    """Verbatim uncorrected transcription of the cap-only moment formulas.
-
-    I_1 and I_3 are sound (they agree with the corrected forms to rounding);
-    I_2 carries the exp(-c~^2) defect.
-    """
-    sigma, dt, mu = market.sigma, market.dt, market.mu
-    cdf_c = standard_normal_cdf(ct)
-    ec = math.exp(-0.5 * ct * ct)
-    if n == 1:
-        return (
-            -sigma * math.sqrt(dt / (2.0 * math.pi)) * ec
-            + mu * dt * cdf_c
-            + c * (1.0 - cdf_c)
-        )
-    if n == 2:
-        return (
-            sigma * sigma * dt * cdf_c
-            # defective term: the exponent is printed without its 1/2
-            - ct * _INV_SQRT_2PI * sigma * sigma * dt * math.exp(-ct * ct)
-            - 2.0 * mu * sigma * dt * math.sqrt(dt / (2.0 * math.pi)) * ec
-            + (mu * dt) ** 2 * cdf_c
-            + c * c * (1.0 - cdf_c)
-        )
-    return (
-        -(2.0 + ct * ct) * ec * math.sqrt((sigma * sigma * dt) ** 3 / (2.0 * math.pi))
-        + 3.0 * mu * (sigma * dt) ** 2 * (cdf_c - ct * ec / math.sqrt(2.0 * math.pi))
-        - 3.0 * (mu * dt) ** 2 * sigma * math.sqrt(dt / (2.0 * math.pi)) * ec
-        + (mu * dt) ** 3 * cdf_c
-        + c * c * c * (1.0 - cdf_c)
-    )
+    return _closed_moment(n, market, contract, variant)
 
 
 def capped_floored_moment_closed(
@@ -290,90 +291,14 @@ def capped_floored_moment_closed(
 ) -> float:
     """Closed-form I_n for a contract carrying both a cap and a floor.
 
-    The printed variant reproduces two defects verbatim: the floor abscissa
-    written with a spurious sqrt(2*pi) in its denominator, and, in I_2, the
-    cross term's exponents written without their 1/2.
+    The corrected form is P_n(c~) - P_n(f~) + f^n * floor_mass +
+    c^n * cap_mass. The printed variant reproduces two defects verbatim: the
+    floor abscissa written with a spurious sqrt(2*pi) in its denominator,
+    and, in I_2, the cross term's exponents written without their 1/2.
     """
     if contract.floor is None:
         raise ValueError("capped_floored_moment_closed requires a floored contract")
-    _check_variant(variant)
-    if n not in (1, 2, 3):
-        raise ValueError(f"moment order must be 1, 2 or 3, got {n!r}")
-    m, s = _monthly_scale(market)
-    geo = truncation_geometry(market, contract)
-    ct = geo.c_tilde
-    c = contract.log_cap
-    f = contract.log_floor
-
-    if variant == PRINTED:
-        return _floored_moment_printed(n, market, m, s, ct, f, c)
-
-    ft = geo.f_tilde
-    cdf_c, cdf_f = standard_normal_cdf(ct), standard_normal_cdf(ft)
-    pdf_c, pdf_f = standard_normal_pdf(ct), standard_normal_pdf(ft)
-    cap_mass = geo.cap_mass
-    floor_mass = geo.floor_mass
-    body = cdf_c - cdf_f
-
-    if n == 1:
-        return m * body + s * (pdf_f - pdf_c) + f * floor_mass + c * cap_mass
-    if n == 2:
-        return (
-            (m * m + s * s) * body
-            - s * s * (ct * pdf_c - ft * pdf_f)
-            + 2.0 * m * s * (pdf_f - pdf_c)
-            + f * f * floor_mass
-            + c * c * cap_mass
-        )
-    return (
-        (m * m * m + 3.0 * m * s * s) * body
-        + 3.0 * m * m * s * (pdf_f - pdf_c)
-        - 3.0 * m * s * s * (ct * pdf_c - ft * pdf_f)
-        + s * s * s * ((ft * ft + 2.0) * pdf_f - (ct * ct + 2.0) * pdf_c)
-        + f * f * f * floor_mass
-        + c * c * c * cap_mass
-    )
-
-
-def _floored_moment_printed(
-    n: int, market: MarketParams, m: float, s: float, ct: float, f: float, c: float
-) -> float:
-    """Verbatim uncorrected transcription of the floored moment formulas."""
-    sigma, dt, mu = market.sigma, market.dt, market.mu
-    # defective floor abscissa: sqrt(2*pi) does not belong in the denominator
-    ft = (f - m) / math.sqrt(2.0 * math.pi * sigma * sigma * dt)
-    cdf_c, cdf_f = standard_normal_cdf(ct), standard_normal_cdf(ft)
-    ec, ef = math.exp(-0.5 * ct * ct), math.exp(-0.5 * ft * ft)
-    body = cdf_c - cdf_f
-    if n == 1:
-        return (
-            sigma * (ef - ec) * math.sqrt(dt / (2.0 * math.pi))
-            + mu * dt * body
-            + f * cdf_f
-            + c * (1.0 - cdf_c)
-        )
-    if n == 2:
-        return (
-            sigma * sigma * dt * body
-            - sigma * sigma * dt / math.sqrt(2.0 * math.pi) * (ct * ec - ft * ef)
-            # defective cross term: exponents printed without their 1/2
-            + 2.0 * mu * sigma * dt
-            * (math.exp(-ft * ft) - math.exp(-ct * ct))
-            * math.sqrt(dt / (2.0 * math.pi))
-            + (mu * dt) ** 2 * body
-            + c * c * (1.0 - cdf_c)
-            + f * f * cdf_f
-        )
-    return (
-        -((2.0 + ct * ct) * ec - (2.0 + ft * ft) * ef)
-        * math.sqrt((sigma * sigma * dt) ** 3 / (2.0 * math.pi))
-        + 3.0 * mu * (sigma * dt) ** 2
-        * (body - (ct * ec - ft * ef) / math.sqrt(2.0 * math.pi))
-        - 3.0 * (mu * dt) ** 2 * sigma * (ec - ef) * math.sqrt(dt / (2.0 * math.pi))
-        + (mu * dt) ** 3 * body
-        + c * c * c * (1.0 - cdf_c)
-        + f * f * f * cdf_f
-    )
+    return _closed_moment(n, market, contract, variant)
 
 
 def closed_form_moments(
@@ -399,6 +324,8 @@ def quadrature_moments(market: MarketParams, contract: ContractSpec) -> MomentSe
     )
 
 
-def _check_variant(variant: str) -> None:
+def _is_printed(variant: str) -> bool:
+    """Check a formula variant; True selects the printed transcription."""
     if variant not in (CORRECTED, PRINTED):
         raise ValueError(f"variant must be {CORRECTED!r} or {PRINTED!r}, got {variant!r}")
+    return variant == PRINTED

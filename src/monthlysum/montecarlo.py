@@ -9,10 +9,10 @@ Two payoffs are simulated on the same monthly Gaussian draws:
 
 Draws come from the counter-based generator in :mod:`monthlysum.rng`, so a
 path's normals are a pure function of (seed, path index, stream id). Paths
-are processed in fixed blocks of :data:`BLOCK`; threads only decide which
-blocks run concurrently, each writing a disjoint slice of a preallocated
-payoff array, and all reductions happen after assembly. Results are
-therefore byte-identical for any thread count.
+are processed serially in fixed blocks of :data:`BLOCK`, and all reductions
+happen after assembly. The ``threads`` argument is accepted (it must be at
+least 1) and has no effect: each block is a few dozen small numpy calls
+that hold the GIL between them, so a thread pool only added overhead.
 
 With ``common_random_numbers`` both payoffs read the shared stream, making
 their difference a low-variance estimate of the capping-convention gap.
@@ -21,11 +21,9 @@ their difference a low-variance estimate of the capping-convention gap.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .contracts import ContractSpec, MarketParams
 from .edgeworth import CumulantSet
@@ -40,9 +38,9 @@ __all__ = [
     "simulate_msln",
 ]
 
-#: Paths per work unit. Fixed so the path-to-block assignment, and hence
-#: every draw, is independent of the thread count. Even, so antithetic
-#: pairs never straddle a block boundary.
+#: Paths per work unit. It bounds the memory of one block of normals; the
+#: draws themselves do not depend on it. Even, so antithetic pairs never
+#: straddle a block boundary.
 BLOCK = 4096
 
 
@@ -106,29 +104,30 @@ def _block_normals(
     return z
 
 
-def _fill_payoffs(
+def _capped_sums(
     contract: ContractSpec,
     market: MarketParams,
     cfg: McConfig,
     stream: int,
-    log_payoff: bool,
-    out: np.ndarray,
+    log_returns: bool,
     start: int,
     stop: int,
-) -> None:
+) -> np.ndarray:
+    """Per-path sums of the capped (and floored) monthly returns of paths [start, stop).
+
+    Log returns bounded by ``log_cap``/``log_floor`` when ``log_returns``,
+    otherwise simple returns bounded by ``cap``/``floor``.
+    """
     z = _block_normals(cfg, market, stream, start, stop)
     x = market.mu * market.dt + market.sigma * math.sqrt(market.dt) * z
-    if log_payoff:
-        np.minimum(x, contract.log_cap, out=x)
-        if contract.floor is not None:
-            np.maximum(x, contract.log_floor, out=x)
-        out[start:stop] = np.maximum(np.expm1(x.sum(axis=1)), 0.0)
+    if log_returns:
+        cap, floor = contract.log_cap, contract.log_floor
     else:
-        r = np.expm1(x)
-        np.minimum(r, contract.cap, out=r)
-        if contract.floor is not None:
-            np.maximum(r, contract.floor, out=r)
-        out[start:stop] = np.maximum(r.sum(axis=1), 0.0)
+        x, cap, floor = np.expm1(x), contract.cap, contract.floor
+    np.minimum(x, cap, out=x)
+    if floor is not None:
+        np.maximum(x, floor, out=x)
+    return x.sum(axis=1)
 
 
 def _run(
@@ -142,20 +141,10 @@ def _run(
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads!r}")
     payoffs = np.empty(cfg.paths, dtype=np.float64)
-    spans = [(s, min(s + BLOCK, cfg.paths)) for s in range(0, cfg.paths, BLOCK)]
-    if threads == 1 or len(spans) == 1:
-        for start, stop in spans:
-            _fill_payoffs(contract, market, cfg, stream, log_payoff, payoffs, start, stop)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _fill_payoffs, contract, market, cfg, stream, log_payoff, payoffs, start, stop
-                )
-                for start, stop in spans
-            ]
-            for f in futures:
-                f.result()
+    for start in range(0, cfg.paths, BLOCK):
+        stop = min(start + BLOCK, cfg.paths)
+        sums = _capped_sums(contract, market, cfg, stream, log_payoff, start, stop)
+        payoffs[start:stop] = np.maximum(np.expm1(sums) if log_payoff else sums, 0.0)
 
     samples = 0.5 * (payoffs[0::2] + payoffs[1::2]) if cfg.antithetic else payoffs
     discount = math.exp(-market.rate * market.term)
@@ -167,14 +156,20 @@ def _run(
 def simulate_ms(
     contract: ContractSpec, market: MarketParams, cfg: McConfig, threads: int = 1
 ) -> McResult:
-    """Price the contract: discounted max(sum of capped simple returns, 0)."""
+    """Price the contract: discounted max(sum of capped simple returns, 0).
+
+    ``threads`` must be at least 1 and has no effect; blocks run serially.
+    """
     return _run(contract, market, cfg, _stream_for(STREAM_MS, cfg), False, threads)
 
 
 def simulate_msln(
     contract: ContractSpec, market: MarketParams, cfg: McConfig, threads: int = 1
 ) -> McResult:
-    """Price the lognormal proxy: discounted max(exp(capped log sum) - 1, 0)."""
+    """Price the lognormal proxy: discounted max(exp(capped log sum) - 1, 0).
+
+    ``threads`` must be at least 1 and has no effect; blocks run serially.
+    """
     return _run(contract, market, cfg, _stream_for(STREAM_MSLN, cfg), True, threads)
 
 
@@ -200,15 +195,15 @@ def empirical_cumulants(
     stream = _stream_for(STREAM_MSLN, cfg)
     for start in range(0, cfg.paths, BLOCK):
         stop = min(start + BLOCK, cfg.paths)
-        z = _block_normals(cfg, market, stream, start, stop)
-        x = market.mu * market.dt + market.sigma * math.sqrt(market.dt) * z
-        np.minimum(x, contract.log_cap, out=x)
-        if contract.floor is not None:
-            np.maximum(x, contract.log_floor, out=x)
-        sums[start:stop] = x.sum(axis=1)
-    n = market.periods
-    return CumulantSet(
-        iota1=float(stats.kstat(sums, 1)) / n,
-        iota2=float(stats.kstat(sums, 2)) / n,
-        iota3=float(stats.kstat(sums, 3)) / n,
+        sums[start:stop] = _capped_sums(contract, market, cfg, stream, True, start, stop)
+    # k-statistics from the power sums S_r, in the operation order of
+    # SciPy's kstat so the values match it bit for bit
+    size = sums.size
+    s1, s2, s3 = (np.sum(sums**k) for k in (1, 2, 3))
+    k1 = s1 * 1.0 / size
+    k2 = (size * s2 - s1**2.0) / (size * (size - 1.0))
+    k3 = (2 * s1**3 - 3 * size * s1 * s2 + size * size * s3) / (
+        size * (size - 1.0) * (size - 2.0)
     )
+    n = market.periods
+    return CumulantSet(iota1=float(k1) / n, iota2=float(k2) / n, iota3=float(k3) / n)

@@ -13,7 +13,8 @@ The correction integral has a closed form (``ms_correction_closed``) and a
 direct quadrature (``ms_correction_quadrature``); the two must agree to
 1e-8 relative, and the validation suite enforces that across the parameter
 grid. As with the moment formulas, the closed form carries a ``"printed"``
-variant kept only to demonstrate its defect (an exponent missing its 1/2).
+variant, in :mod:`monthlysum._printed`, kept only to demonstrate its defect
+(an exponent missing its 1/2).
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._printed import correction_exponent
 from .contracts import ContractSpec, MarketParams
 from .edgeworth import EdgeworthParams, aggregate, cumulants_from_moments, hermite_h3
 from .moments import (
     CORRECTED,
-    PRINTED,
+    _is_printed,
     _quad_split,
     closed_form_moments,
     quadrature_moments,
@@ -134,12 +136,10 @@ def ms_correction_closed(
     writes the first term's Gaussian factor as exp(-nu^2 T / v^2), dropping
     the 1/2 the density requires.
     """
-    if variant not in (CORRECTED, PRINTED):
-        raise ValueError(f"variant must be {CORRECTED!r} or {PRINTED!r}, got {variant!r}")
+    printed = _is_printed(variant)
     t = ep.term
     nu, v = ep.nu, ep.v
-    ratio2 = nu * nu * t / (v * v)
-    exponent = -ratio2 if variant == PRINTED else -0.5 * ratio2
+    exponent = correction_exponent(nu, v, t) if printed else -0.5 * (nu * nu * t / (v * v))
     j = (
         t * (v * v - nu) * math.exp(exponent) / math.sqrt(2.0 * math.pi)
         + (v * v * t) ** 1.5

@@ -8,9 +8,8 @@ variates can be generated in isolation.
 Layout used by the Monte Carlo engine: key = the user seed (low and high
 32-bit halves); counter = (block index within the path, path index low,
 path index high, stream id). A path's normals therefore depend only on
-(seed, path index, stream id), never on how paths are batched across
-threads, which is what makes the engine's output invariant to the thread
-count.
+(seed, path index, stream id), never on how paths are batched into
+blocks.
 
 Uniforms are built from 52 of the 64 bits as ((bits >> 12) + 0.5) * 2^-52,
 every value exactly representable and strictly inside (0, 1), so the

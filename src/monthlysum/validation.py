@@ -20,13 +20,15 @@ as JSON lines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .contracts import ContractSpec, MarketParams
 from .moments import (
     CORRECTED,
     PRINTED,
+    _is_printed,
     capped_floored_moment_closed,
     capped_moment_closed,
     moment_quadrature,
@@ -96,15 +98,7 @@ class GridPoint:
         return ContractSpec(cap=self.cap, floor=self.floor)
 
     def as_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "cap": self.cap,
-            "floor": self.floor,
-            "rate": self.rate,
-            "div_yield": self.div_yield,
-            "term": self.term,
-            "periods": self.periods,
-        }
+        return asdict(self)
 
 
 def default_grid() -> tuple[GridPoint, ...]:
@@ -189,20 +183,19 @@ def validate_point(
     discrepancies: list[Discrepancy] = []
     errs: dict = {}
 
-    for n in (1, 2, 3):
-        formula = f"I{n}_{suffix}"
-        reference = moment_quadrature(n, market, contract)
-        corrected = closed_fn(n, market, contract)
-        tested = corrected if variant == CORRECTED else closed_fn(n, market, contract, variant)
+    def check(formula: str, tol: float, reference: float, closed) -> None:
+        # closed(variant) evaluates the formula under test in that variant
+        corrected = closed(CORRECTED)
+        tested = corrected if variant == CORRECTED else closed(variant)
         err = _rel(tested, reference)
         errs[formula] = err
-        if err > moment_tol:
+        if err > tol:
             failures.append(
                 CheckFailure(point=point, check=formula, got=tested, want=reference, rel_err=err)
             )
         if collect_discrepancies:
-            printed = tested if variant == PRINTED else closed_fn(n, market, contract, PRINTED)
-            if _rel(printed, corrected) > moment_tol:
+            printed = tested if variant == PRINTED else closed(PRINTED)
+            if _rel(printed, corrected) > tol:
                 discrepancies.append(
                     Discrepancy(
                         formula=formula,
@@ -213,28 +206,20 @@ def validate_point(
                     )
                 )
 
-    ep = edgeworth_params(contract, market)
-    reference = ms_correction_quadrature(ep, market)
-    corrected = ms_correction_closed(ep, market)
-    tested = corrected if variant == CORRECTED else ms_correction_closed(ep, market, variant)
-    err = _rel(tested, reference)
-    errs["ms1_closed"] = err
-    if err > correction_tol:
-        failures.append(
-            CheckFailure(point=point, check="ms1_closed", got=tested, want=reference, rel_err=err)
+    for n in (1, 2, 3):
+        check(
+            f"I{n}_{suffix}",
+            moment_tol,
+            moment_quadrature(n, market, contract),
+            partial(closed_fn, n, market, contract),
         )
-    if collect_discrepancies:
-        printed = tested if variant == PRINTED else ms_correction_closed(ep, market, PRINTED)
-        if _rel(printed, corrected) > correction_tol:
-            discrepancies.append(
-                Discrepancy(
-                    formula="ms1_closed",
-                    point=point,
-                    printed=printed,
-                    corrected=corrected,
-                    quadrature=reference,
-                )
-            )
+    ep = edgeworth_params(contract, market)
+    check(
+        "ms1_closed",
+        correction_tol,
+        ms_correction_quadrature(ep, market),
+        partial(ms_correction_closed, ep, market),
+    )
     return failures, discrepancies, errs
 
 
@@ -250,12 +235,11 @@ def run_validation(
     ``--tol``). ``collect_discrepancies`` defaults to True exactly when the
     printed variant is under test.
     """
-    if variant not in (CORRECTED, PRINTED):
-        raise ValueError(f"variant must be {CORRECTED!r} or {PRINTED!r}, got {variant!r}")
+    printed = _is_printed(variant)
     if grid is None:
         grid = default_grid()
     if collect_discrepancies is None:
-        collect_discrepancies = variant == PRINTED
+        collect_discrepancies = printed
     moment_tol = MOMENT_REL_TOL if tol is None else tol
     correction_tol = CORRECTION_REL_TOL if tol is None else tol
 

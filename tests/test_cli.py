@@ -236,6 +236,13 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    def test_cancelled_variance_is_three(self, capsys):
+        # I2 - I1^2 cancels to <= 0 at this volatility: a numerical failure,
+        # not bad input
+        code, _, err = run_cli(capsys, "price", "--vol", "1e-11")
+        assert code == 3
+        assert "variance" in err
+
     def test_numerical_failure_is_three(self, capsys, monkeypatch):
         import monthlysum.cli as cli
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monthlysum import (
@@ -18,6 +18,7 @@ from monthlysum import (
     DegenerateVolatilityError,
     MarketParams,
     MomentSet,
+    NonpositiveVarianceError,
     capped_floored_moment_closed,
     capped_moment_closed,
     closed_form_moments,
@@ -108,6 +109,27 @@ class TestLimits:
                 capped_moment_closed(n, MARKET, CAP_ONLY), rel=1e-9
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sigma=st.floats(0.01, 0.40),
+        cap=st.floats(0.001, 0.20),
+        floor=st.floats(-0.95, -0.90),
+        rate=st.floats(0.0, 0.08),
+        div=st.floats(0.0, 0.05),
+        periods=st.sampled_from((4, 12, 52)),
+    )
+    def test_far_floor_reduces_to_cap_only(self, sigma, cap, floor, rate, div, periods):
+        # with the floor beyond 12 standard deviations, P_n(f~) and the floor
+        # atom are below 1e-30, so the floored kernel must give the cap-only
+        # moments; I3 can sit near zero, hence the absolute floor
+        market = MarketParams(rate=rate, dividend_yield=div, sigma=sigma, term=1.0, periods=periods)
+        floored = ContractSpec(cap=cap, floor=floor)
+        assume(truncation_geometry(market, floored).f_tilde < -12.0)
+        for n in (1, 2, 3):
+            got = capped_floored_moment_closed(n, market, floored)
+            want = capped_moment_closed(n, market, ContractSpec(cap=cap))
+            assert abs(got - want) <= max(1e-12 * abs(want), 1e-18)
+
     def test_tight_bounds_concentrate_on_the_atoms(self):
         # a razor-thin corridor leaves almost all mass on the two atoms
         tight = ContractSpec(cap=0.01001, floor=0.00999)
@@ -188,7 +210,7 @@ class TestApiGuards:
             capped_floored_moment_closed(1, MARKET, CAP_ONLY)
 
     def test_moment_set_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError, match="variance"):
+        with pytest.raises(NonpositiveVarianceError, match="variance"):
             MomentSet(i1=0.1, i2=0.01, i3=0.0, provenance="closed_form")
 
     def test_helper_bundles_report_provenance(self):

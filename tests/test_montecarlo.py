@@ -20,7 +20,7 @@ from monthlysum import (
     simulate_msln,
 )
 from monthlysum.montecarlo import BLOCK
-from monthlysum.rng import path_normals
+from monthlysum.rng import STREAM_SHARED, path_normals
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
 CAP_ONLY = ContractSpec(cap=0.025)
@@ -154,6 +154,20 @@ class TestEmpiricalCumulants:
         assert est.iota1 == pytest.approx(analytic.iota1, rel=1e-2)
         assert est.iota2 == pytest.approx(analytic.iota2, rel=2e-2)
         assert est.iota3 == pytest.approx(analytic.iota3, rel=2e-1)
+
+    def test_k_statistics_match_scipy_bit_for_bit(self):
+        from scipy import stats
+
+        contract = ContractSpec(cap=0.025, floor=-0.05)
+        cfg = McConfig(paths=10_000, seed=5)
+        z = path_normals(cfg.seed, 0, cfg.paths, MARKET.periods, STREAM_SHARED)
+        x = MARKET.mu * MARKET.dt + MARKET.sigma * np.sqrt(MARKET.dt) * z
+        sums = np.clip(x, contract.log_floor, contract.log_cap).sum(axis=1)
+        est = empirical_cumulants(contract, MARKET, cfg)
+        n = MARKET.periods
+        assert est.iota1 == float(stats.kstat(sums, 1)) / n
+        assert est.iota2 == float(stats.kstat(sums, 2)) / n
+        assert est.iota3 == float(stats.kstat(sums, 3)) / n
 
     def test_path_floor_enforced(self):
         with pytest.raises(ValueError, match="10\\^4"):
