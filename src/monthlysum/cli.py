@@ -9,8 +9,13 @@ Conventions: rates, yields, vols, caps and floors are decimal fractions
 (0.025, not 2.5%). Numbers in CSV output carry 12 significant digits with
 '.' as the decimal separator and '\\n' line endings, so output bytes are
 stable for fixed inputs and seed; JSON output carries full precision so a
-parsed record re-prices to identical values. Flags override an optional
-``key = value`` config file, which overrides built-in defaults.
+parsed record re-prices to identical values.
+
+Flags override an optional ``--config`` file of ``key = value`` lines,
+which overrides the built-in defaults. Keys are the long flag names
+without ``--``, and each value is checked as its flag's would be. Keys the
+running command lacks are ignored, so one file serves every command, and
+``none`` or an empty value keeps the default.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
 3 numerical failure.
@@ -22,7 +27,6 @@ Carlo blocks and sweep rows run serially, so output never depends on it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -33,8 +37,6 @@ from .montecarlo import McConfig, simulate_ms, simulate_msln
 from .pricer import price_ms
 from .validation import (
     CORRECTED,
-    CORRECTION_REL_TOL,
-    MOMENT_REL_TOL,
     PRINTED,
     FORMULA_IDS,
     run_validation,
@@ -43,34 +45,16 @@ from .validation import (
 
 __all__ = ["main"]
 
-DEFAULTS = {
-    "cap": 0.025,
-    "floor": None,
-    "vol": 0.20,
-    "rate": 0.03,
-    "div": 0.02,
-    "term": 1.0,
-    "months": 12,
-    "order": 1,
-    "seed": 42,
-    "threads": 1,
-    "antithetic": False,
-}
+#: CLI name -> the ContractSpec or MarketParams field it sets, in record order.
+_FIELDS = {"cap": "cap", "floor": "floor", "vol": "sigma", "rate": "rate",
+           "div": "dividend_yield", "term": "term", "months": "periods"}
 
-#: Sweep axis -> the ContractSpec or MarketParams field it sets.
-_AXIS_FIELDS = {"vol": "sigma", "cap": "cap", "floor": "floor", "rate": "rate",
-                "div": "dividend_yield", "months": "periods"}
-_AXES = tuple(_AXIS_FIELDS)
-
+#: Keys a config file may set: the long flags, less --config and --printed-formulas.
 _CONFIG_KEYS = {
     "cap", "floor", "vol", "rate", "div", "term", "months", "order", "format",
     "out", "seed", "mc-paths", "antithetic", "threads", "axis", "from", "to",
     "step", "tol", "discrepancy-log",
 }
-
-_FLOAT_KEYS = {"cap", "floor", "vol", "rate", "div", "term", "from", "to", "step", "tol"}
-_INT_KEYS = {"months", "order", "seed", "mc-paths", "threads"}
-_BOOL_KEYS = {"antithetic"}
 
 
 def _diag(message: str) -> None:
@@ -100,9 +84,7 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict[str, str]:
     config: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -119,54 +101,40 @@ def _load_config(path: str | None) -> dict[str, str]:
     return config
 
 
-def _parse_config_value(key: str, raw: str):
-    try:
-        if key in _FLOAT_KEYS:
-            return None if raw.lower() in ("", "none") else float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        return raw
-    except ValueError:
-        raise ValueError(f"config: invalid value for {key}: {raw!r}") from None
+def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values for this command, each parsed as its flag is.
+
+    Keys the command lacks are skipped, so one file serves every command,
+    and an empty or ``none`` value keeps the built-in default.
+    """
+    known = vars(command.parse_args([]))
+    defaults = {}
+    for key, value in _load_config(path).items():
+        attr = key.replace("-", "_")
+        # a key the command lacks is never parsed: argparse would take it
+        # as a prefix of another flag (`to` would set --tol on validate)
+        if attr not in known or value.lower() in ("", "none"):
+            continue
+        # '--key=value' keeps a value that starts with '-' a value
+        defaults[attr] = getattr(command.parse_args([f"--{key}={value}"]), attr)
+    return defaults
 
 
-def _opt(ns: argparse.Namespace, config: dict[str, str], key: str, default=None):
-    """Resolve one option: flag beats config beats built-in default."""
-    attr = key.replace("-", "_")
-    if key == "from":
-        attr = "from_"
-    value = getattr(ns, attr, None)
-    if value is not None:
-        return value
-    if key in config:
-        parsed = _parse_config_value(key, config[key])
-        if parsed is not None:
-            return parsed
-    return default
+def _boolean(text: str) -> bool:
+    """An --antithetic value: true/yes/1 or false/no/0, in any case."""
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true/yes/1 or false/no/0, got {text!r}")
 
 
-def _resolve_market(ns: argparse.Namespace, config: dict[str, str]) -> MarketParams:
-    return MarketParams(
-        rate=_opt(ns, config, "rate", DEFAULTS["rate"]),
-        dividend_yield=_opt(ns, config, "div", DEFAULTS["div"]),
-        sigma=_opt(ns, config, "vol", DEFAULTS["vol"]),
-        term=_opt(ns, config, "term", DEFAULTS["term"]),
-        periods=_opt(ns, config, "months", DEFAULTS["months"]),
-    )
-
-
-def _resolve_contract(ns: argparse.Namespace, config: dict[str, str]) -> ContractSpec:
-    return ContractSpec(
-        cap=_opt(ns, config, "cap", DEFAULTS["cap"]),
-        floor=_opt(ns, config, "floor", DEFAULTS["floor"]),
-    )
+def _inputs(values: dict) -> tuple[ContractSpec, MarketParams]:
+    """ContractSpec and MarketParams from values keyed by CLI name."""
+    fields = {field: values[name] for name, field in _FIELDS.items()}
+    contract = ContractSpec(cap=fields.pop("cap"), floor=fields.pop("floor"))
+    return contract, MarketParams(**fields)
 
 
 def _record_text(record: dict, fmt: str) -> str:
@@ -177,29 +145,12 @@ def _record_text(record: dict, fmt: str) -> str:
     return header + "\n" + row + "\n"
 
 
-def _market_fields(contract: ContractSpec, market: MarketParams) -> dict:
-    return {
-        "cap": contract.cap,
-        "floor": contract.floor,
-        "vol": market.sigma,
-        "rate": market.rate,
-        "div": market.dividend_yield,
-        "term": market.term,
-        "months": market.periods,
-    }
-
-
-def cmd_price(ns: argparse.Namespace, config: dict[str, str]) -> int:
-    market = _resolve_market(ns, config)
-    contract = _resolve_contract(ns, config)
-    order = _opt(ns, config, "order", DEFAULTS["order"])
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {order!r}")
-    fmt = _opt(ns, config, "format", "json")
-    breakdown = price_ms(contract, market, order=order)
-    record = _market_fields(contract, market)
+def cmd_price(ns: argparse.Namespace) -> int:
+    contract, market = _inputs(vars(ns))
+    breakdown = price_ms(contract, market, order=ns.order)
+    record = {name: getattr(ns, name) for name in _FIELDS}
     record.update(
-        order=order,
+        order=ns.order,
         ms0=breakdown.ms0,
         ms1=breakdown.ms1,
         total=breakdown.total,
@@ -208,23 +159,16 @@ def cmd_price(ns: argparse.Namespace, config: dict[str, str]) -> int:
         eps1=breakdown.params.epsilon1,
         y_eff=breakdown.params.y_eff,
     )
-    _emit(_record_text(record, fmt), _opt(ns, config, "out"))
+    _emit(_record_text(record, ns.format), ns.out)
     return 0
 
 
-def cmd_mc(ns: argparse.Namespace, config: dict[str, str]) -> int:
-    market = _resolve_market(ns, config)
-    contract = _resolve_contract(ns, config)
-    fmt = _opt(ns, config, "format", "json")
-    cfg = McConfig(
-        paths=_opt(ns, config, "mc-paths", 100_000),
-        seed=_opt(ns, config, "seed", DEFAULTS["seed"]),
-        antithetic=_opt(ns, config, "antithetic", DEFAULTS["antithetic"]),
-    )
-    threads = _opt(ns, config, "threads", DEFAULTS["threads"])
-    ms = simulate_ms(contract, market, cfg, threads=threads)
-    msln = simulate_msln(contract, market, cfg, threads=threads)
-    record = _market_fields(contract, market)
+def cmd_mc(ns: argparse.Namespace) -> int:
+    contract, market = _inputs(vars(ns))
+    cfg = McConfig(paths=ns.mc_paths, seed=ns.seed, antithetic=ns.antithetic)
+    ms = simulate_ms(contract, market, cfg, threads=ns.threads)
+    msln = simulate_msln(contract, market, cfg, threads=ns.threads)
+    record = {name: getattr(ns, name) for name in _FIELDS}
     record.update(
         paths=cfg.paths,
         seed=cfg.seed,
@@ -234,7 +178,7 @@ def cmd_mc(ns: argparse.Namespace, config: dict[str, str]) -> int:
         msln_mc_mean=msln.mean,
         msln_mc_stderr=msln.stderr,
     )
-    _emit(_record_text(record, fmt), _opt(ns, config, "out"))
+    _emit(_record_text(record, ns.format), ns.out)
     return 0
 
 
@@ -252,48 +196,30 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _apply_axis(
-    axis: str, value: float, contract: ContractSpec, market: MarketParams
-) -> tuple[ContractSpec, MarketParams]:
-    if axis == "months":
+def _row_inputs(ns: argparse.Namespace, value: float) -> tuple[ContractSpec, MarketParams]:
+    if ns.axis == "months":
         if abs(value - round(value)) > 1e-9:
             raise ValueError(f"months axis requires integer values, got {value!r}")
         value = int(round(value))
-    field = _AXIS_FIELDS[axis]
-    if field in ("cap", "floor"):
-        return dataclasses.replace(contract, **{field: value}), market
-    return contract, dataclasses.replace(market, **{field: value})
+    return _inputs({**vars(ns), ns.axis: value})
 
 
-def cmd_sweep(ns: argparse.Namespace, config: dict[str, str]) -> int:
-    market = _resolve_market(ns, config)
-    contract = _resolve_contract(ns, config)
-    fmt = _opt(ns, config, "format", "csv")
-    axis = _opt(ns, config, "axis")
-    if axis is None:
+def cmd_sweep(ns: argparse.Namespace) -> int:
+    _inputs(vars(ns))  # bad base input fails even where the axis replaces it
+    if ns.axis is None:
         raise ValueError("sweep requires --axis")
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {', '.join(_AXES)}; got {axis!r}")
-    start = _opt(ns, config, "from")
-    stop = _opt(ns, config, "to")
-    step = _opt(ns, config, "step")
+    start, stop, step = getattr(ns, "from"), ns.to, ns.step
     if start is None or stop is None or step is None:
         raise ValueError("sweep requires --from, --to and --step")
     values = _axis_values(start, stop, step)
 
-    mc_paths = _opt(ns, config, "mc-paths")
-    threads = _opt(ns, config, "threads", DEFAULTS["threads"])
     cfg = None
-    if mc_paths is not None:
-        cfg = McConfig(
-            paths=mc_paths,
-            seed=_opt(ns, config, "seed", DEFAULTS["seed"]),
-            antithetic=_opt(ns, config, "antithetic", DEFAULTS["antithetic"]),
-        )
+    if ns.mc_paths is not None:
+        cfg = McConfig(paths=ns.mc_paths, seed=ns.seed, antithetic=ns.antithetic)
 
     # constructing every row's parameters up front surfaces bad input
     # before any pricing work starts
-    rows_in = [_apply_axis(axis, v, contract, market) for v in values]
+    rows_in = [_row_inputs(ns, v) for v in values]
 
     def price_row(pair: tuple[ContractSpec, MarketParams]) -> dict:
         row_contract, row_market = pair
@@ -305,30 +231,29 @@ def cmd_sweep(ns: argparse.Namespace, config: dict[str, str]) -> int:
             row.update(mc_mean=ms.mean, mc_stderr=ms.stderr, msln_mc_mean=msln.mean)
         return row
 
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads!r}")
+    if ns.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {ns.threads!r}")
     rows = [price_row(pair) for pair in rows_in]
 
     columns = ["axis", "axis_value", "ms0", "ms0_plus_ms1"]
     if cfg is not None:
         columns += ["mc_mean", "mc_stderr", "msln_mc_mean"]
     records = [
-        {"axis": axis, "axis_value": value, **row} for value, row in zip(values, rows)
+        {"axis": ns.axis, "axis_value": value, **row} for value, row in zip(values, rows)
     ]
-    if fmt == "json":
+    if ns.format == "json":
         text = json.dumps(records, indent=2) + "\n"
     else:
         lines = [",".join(columns)]
         lines += [",".join(_g12(record[c]) for c in columns) for record in records]
         text = "\n".join(lines) + "\n"
-    _emit(text, _opt(ns, config, "out"))
+    _emit(text, ns.out)
     return 0
 
 
-def cmd_validate(ns: argparse.Namespace, config: dict[str, str]) -> int:
+def cmd_validate(ns: argparse.Namespace) -> int:
     variant = PRINTED if ns.printed_formulas else CORRECTED
-    tol = _opt(ns, config, "tol")
-    report = run_validation(variant=variant, tol=tol)
+    report = run_validation(variant=variant, tol=ns.tol)
 
     lines = [f"validation: {report.points} points, variant={report.variant}"]
     fail_counts: dict[str, int] = {}
@@ -349,7 +274,7 @@ def cmd_validate(ns: argparse.Namespace, config: dict[str, str]) -> int:
             per_formula[d.formula] = per_formula.get(d.formula, 0) + 1
         summary = ", ".join(f"{k}: {v}" for k, v in sorted(per_formula.items()))
         lines.append(f"discrepancy records: {len(report.discrepancies)} ({summary})")
-    log_path = _opt(ns, config, "discrepancy-log")
+    log_path = ns.discrepancy_log
     if log_path is not None:
         count = write_discrepancy_log(report.discrepancies, log_path)
         lines.append(f"discrepancy log: {count} records -> {log_path}")
@@ -366,34 +291,38 @@ def cmd_validate(ns: argparse.Namespace, config: dict[str, str]) -> int:
             lines.append(f"  ... and {len(report.failures) - 10} more")
     else:
         lines.append("result: PASS")
-    _emit("\n".join(lines) + "\n", _opt(ns, config, "out"))
+    _emit("\n".join(lines) + "\n", ns.out)
     return 1 if report.failures else 0
 
 
-def _add_market_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cap", type=float, help="monthly return cap, decimal (default 0.025)")
-    parser.add_argument("--floor", type=float, help="monthly return floor, decimal (default none)")
-    parser.add_argument("--vol", type=float, help="volatility sigma, decimal (default 0.20)")
-    parser.add_argument("--rate", type=float, help="risk-free rate (default 0.03)")
-    parser.add_argument("--div", type=float, help="dividend yield (default 0.02)")
-    parser.add_argument("--term", type=float, help="term in years (default 1)")
-    parser.add_argument("--months", type=int, help="number of monthly periods (default 12)")
-    parser.add_argument("--config", help="key = value config file; flags take precedence")
-    parser.add_argument("--out", help="output path (default stdout)")
+def _add_market_flags(parser: argparse.ArgumentParser, fmt: str) -> None:
+    add = parser.add_argument
+    add("--cap", type=float, default=0.025,
+        help="monthly return cap, decimal (default %(default)s)")
+    add("--floor", type=float, help="monthly return floor, decimal (default none)")
+    add("--vol", type=float, default=0.2, help="volatility sigma, decimal (default %(default)s)")
+    add("--rate", type=float, default=0.03, help="risk-free rate (default %(default)s)")
+    add("--div", type=float, default=0.02, help="dividend yield (default %(default)s)")
+    add("--term", type=float, default=1.0, help="term in years (default %(default)s)")
+    add("--months", type=int, default=12, help="number of monthly periods (default %(default)s)")
+    add("--format", choices=("csv", "json"), default=fmt,
+        help="output format (default %(default)s)")
+    add("--config", help="key = value config file; flags take precedence")
+    add("--out", help="output path (default stdout)")
 
 
-def _add_mc_flags(parser: argparse.ArgumentParser, paths_help: str) -> None:
-    parser.add_argument("--mc-paths", type=int, help=paths_help)
-    parser.add_argument("--seed", type=int, help="RNG seed, u64 (default 42)")
-    parser.add_argument(
-        "--antithetic", action="store_const", const=True, help="antithetic variate pairing"
-    )
-    parser.add_argument(
-        "--threads", type=int, help="accepted for compatibility; has no effect (default 1)"
-    )
+def _add_mc_flags(parser: argparse.ArgumentParser, paths: int | None, paths_help: str) -> None:
+    add = parser.add_argument
+    add("--mc-paths", type=int, default=paths, help=paths_help)
+    add("--seed", type=int, default=42, help="RNG seed, u64 (default %(default)s)")
+    add("--antithetic", nargs="?", type=_boolean, const=True, default=False,
+        help="antithetic variate pairing; bare flag means true (default %(default)s)")
+    add("--threads", type=int, default=1,
+        help="accepted for compatibility; has no effect (default %(default)s)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="monthlysum",
         description="Capped monthly-return contract valuation: closed form, Monte Carlo, "
@@ -402,25 +331,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("price", help="closed-form price of one contract")
-    _add_market_flags(p)
-    p.add_argument("--order", type=int, help="expansion order, 0 or 1 (default 1)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default json)")
+    _add_market_flags(p, "json")
+    p.add_argument(
+        "--order", type=int, default=1, help="expansion order, 0 or 1 (default %(default)s)"
+    )
     p.set_defaults(func=cmd_price)
 
     p = sub.add_parser("mc", help="Monte Carlo price, both payoff conventions")
-    _add_market_flags(p)
-    _add_mc_flags(p, "simulation paths (default 100000)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default json)")
+    _add_market_flags(p, "json")
+    _add_mc_flags(p, 100_000, "simulation paths (default %(default)s)")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("sweep", help="closed form (and optional MC) along one axis")
-    _add_market_flags(p)
-    _add_mc_flags(p, "add MC columns using this many paths")
-    p.add_argument("--axis", choices=_AXES, help="parameter to sweep")
-    p.add_argument("--from", dest="from_", type=float, help="first axis value")
+    _add_market_flags(p, "csv")
+    _add_mc_flags(p, None, "add MC columns using this many paths")
+    p.add_argument("--axis", choices=("vol", "cap", "floor", "rate", "div", "months"),
+                   help="parameter to sweep")
+    p.add_argument("--from", type=float, help="first axis value")
     p.add_argument("--to", type=float, help="last axis value (inclusive)")
     p.add_argument("--step", type=float, help="axis increment")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="closed-form vs quadrature grid suite")
@@ -434,23 +363,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="override both check tolerances")
     p.add_argument("--discrepancy-log", help="write printed-vs-corrected records here (JSONL)")
     p.set_defaults(func=cmd_validate)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if ns.config is not None:
+            # config values become the command's defaults, so flags still win
+            command = commands[ns.command]
+            command.set_defaults(**_config_defaults(command, ns.config))
+            ns = parser.parse_args(argv)
+        return ns.func(ns)
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else 2
-    try:
-        config = _load_config(getattr(ns, "config", None))
-        return ns.func(ns, config)
-    except ValueError as exc:
-        _diag(str(exc))
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         _diag(str(exc))
         return 2
     except ArithmeticError as exc:

@@ -42,6 +42,7 @@ from monthlysum import (
 from monthlysum.moments import PRINTED
 from monthlysum.validation import run_validation
 
+from checkout import checkout_env
 from convolution_oracle import exact_prices
 
 RATE = 0.03
@@ -292,7 +293,10 @@ def test_criterion_7_correction_formula_and_defect_detection(capsys, corrected_v
 def test_criterion_8_outputs_invariant_to_thread_count(capsys):
     def run(*argv: str) -> bytes:
         proc = subprocess.run(
-            [sys.executable, "-m", "monthlysum", *argv], capture_output=True, timeout=120
+            [sys.executable, "-m", "monthlysum", *argv],
+            capture_output=True,
+            timeout=120,
+            env=checkout_env(),
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout

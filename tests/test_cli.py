@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import subprocess
 import sys
 
@@ -13,6 +12,8 @@ import pytest
 from monthlysum import ContractSpec, MarketParams, price_ms
 from monthlysum.cli import main
 from monthlysum.errors import QuadratureConvergenceError
+
+from checkout import checkout_env
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +27,7 @@ def run_subprocess(*argv):
         [sys.executable, "-m", "monthlysum", *argv],
         capture_output=True,
         timeout=120,
+        env=checkout_env(),
     )
 
 
@@ -185,6 +187,29 @@ class TestSweep:
         assert "integer" in err
 
 
+#: Each command's other options, with the key under test taken out.
+CONFIG_BASE = {
+    "price": {},
+    "mc": {"mc-paths": "2000"},
+    "sweep": {"axis": "cap", "from": "0.01", "to": "0.03", "step": "0.01", "mc-paths": "2000"},
+}
+#: A value away from each key's default (and the sweep axis's range).
+CONFIG_VALUES = {
+    "cap": "0.04", "floor": "-0.03", "vol": "0.3", "rate": "0.05", "div": "0.01",
+    "term": "2", "months": "24", "order": "0", "format": "csv", "out": "result.txt",
+    "seed": "7", "mc-paths": "3000", "antithetic": "true", "threads": "2",
+    "axis": "rate", "from": "0.005", "to": "0.04", "step": "0.005",
+}
+SWEEP_VALUES = {**CONFIG_VALUES, "format": "json"}
+MARKET_KEYS = ("cap", "floor", "vol", "rate", "div", "term", "months", "format", "out")
+MC_KEYS = ("mc-paths", "seed", "antithetic", "threads")
+COMMAND_KEYS = [
+    *(("price", key) for key in (*MARKET_KEYS, "order")),
+    *(("mc", key) for key in (*MARKET_KEYS, *MC_KEYS)),
+    *(("sweep", key) for key in (*MARKET_KEYS, *MC_KEYS, "axis", "from", "to", "step")),
+]
+
+
 class TestConfigFile:
     def test_flag_beats_config_beats_default(self, capsys, tmp_path):
         cfg = tmp_path / "ms.conf"
@@ -213,6 +238,92 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "price", "--config", str(tmp_path / "absent.conf"))
         assert code == 2
         assert "absent.conf" in err
+
+    @pytest.mark.parametrize("command,key", COMMAND_KEYS)
+    def test_config_line_matches_flag(self, capsys, tmp_path, monkeypatch, command, key):
+        monkeypatch.chdir(tmp_path)
+        value = (SWEEP_VALUES if command == "sweep" else CONFIG_VALUES)[key]
+        base = [arg for k, v in CONFIG_BASE[command].items() if k != key for arg in (f"--{k}", v)]
+        flag = ["--antithetic"] if key == "antithetic" else [f"--{key}", value]
+        cfg = tmp_path / "ms.conf"
+        cfg.write_text(f"{key} = {value}\n")
+
+        results = []
+        for extra in (flag, ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, command, *base, *extra)
+            assert code == 0, err
+            written = tmp_path / CONFIG_VALUES["out"]
+            results.append((out, written.read_bytes() if written.exists() else None))
+            written.unlink(missing_ok=True)
+        assert results[0] == results[1]
+        # --threads has no effect on output, and the swept axis replaces its flag
+        if key not in ("threads", CONFIG_BASE[command].get("axis")):
+            _, default_out, _ = run_cli(capsys, command, *base)
+            assert results[0] != (default_out, None)
+
+    @pytest.mark.parametrize("key", ["config", "printed-formulas"])
+    def test_flag_only_keys_are_unknown(self, capsys, tmp_path, key):
+        cfg = tmp_path / "ms.conf"
+        cfg.write_text(f"{key} = true\n")
+        code, _, err = run_cli(capsys, "validate", "--config", str(cfg))
+        assert code == 2
+        assert key in err
+
+    @pytest.mark.parametrize(
+        "command,line,option,value",
+        [
+            ("price", "format = xml", "--format", "xml"),
+            ("sweep", "axis = strike", "--axis", "strike"),
+            ("price", "months = 12.5", "--months", "12.5"),
+            ("mc", "antithetic = maybe", "--antithetic", "maybe"),
+        ],
+    )
+    def test_value_is_checked_as_its_flag_is(self, capsys, tmp_path, command, line, option, value):
+        cfg = tmp_path / "ms.conf"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert option in err
+        assert repr(value) in err
+
+    def test_other_commands_keys_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "ms.conf"
+        cfg.write_text(
+            "axis = cap\nmc-paths = 5000\nthreads = 4\ntol = 1e4\n"
+            "discrepancy-log = defects.jsonl\n"
+        )
+        _, plain, _ = run_cli(capsys, "price")
+        code, out, _ = run_cli(capsys, "price", "--config", str(cfg))
+        assert code == 0
+        assert out == plain
+
+    def test_key_is_not_read_as_a_flag_prefix(self, capsys, tmp_path):
+        # argparse would take `--to` as an abbreviation of validate's --tol
+        cfg = tmp_path / "ms.conf"
+        cfg.write_text("to = 1e4\n")
+        code, out, _ = run_cli(capsys, "validate", "--printed-formulas", "--config", str(cfg))
+        assert code == 1
+        assert "result: FAIL" in out
+
+    def test_value_starting_with_dash_is_a_value(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "ms.conf"
+        cfg.write_text("out = --help\nfloor = -0.05\n")
+        code, out, _ = run_cli(capsys, "price", "--config", str(cfg))
+        assert code == 0
+        assert out == ""
+        assert json.loads((tmp_path / "--help").read_text())["floor"] == -0.05
+
+    def test_none_and_false_keep_the_defaults(self, capsys, tmp_path):
+        cfg = tmp_path / "ms.conf"
+        cfg.write_text("vol = none\nantithetic = false\nseed =\nmc-paths = 2000\n")
+        code, out, _ = run_cli(capsys, "mc", "--config", str(cfg))
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["vol"] == 0.2
+        assert rec["antithetic"] is False
+        assert rec["seed"] == 42
 
     def test_boolean_and_none_values(self, capsys, tmp_path):
         cfg = tmp_path / "ms.conf"
@@ -310,6 +421,8 @@ class TestByteStability:
     def test_repeat_run_is_byte_identical(self):
         a = run_subprocess("price", "--format", "csv")
         b = run_subprocess("price", "--format", "csv")
+        assert a.returncode == 0, a.stderr.decode()
+        assert a.stdout
         assert a.stdout == b.stdout
 
 

@@ -3,26 +3,22 @@
 from __future__ import annotations
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "monthlysum"
+from checkout import SRC, checkout_env
 
 
 def test_import_leaves_scipy_stats_unloaded():
     probe = "import sys, monthlysum; print('scipy.stats' in sys.modules)"
-    # put this checkout's src/ first so the probe imports the code under test
-    paths = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
-        env=env,
+        env=checkout_env(),
     )
     assert out.stdout.strip() == "False"
 
@@ -38,7 +34,7 @@ def _imported_modules(path: Path) -> set[str]:
 
 
 def test_no_module_imports_concurrent_futures():
-    sources = sorted(SRC.glob("*.py"))
+    sources = sorted((SRC / "monthlysum").glob("*.py"))
     assert sources
     for path in sources:
         for module in _imported_modules(path):
