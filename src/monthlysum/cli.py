@@ -49,6 +49,9 @@ __all__ = ["main"]
 _FIELDS = {"cap": "cap", "floor": "floor", "vol": "sigma", "rate": "rate",
            "div": "dividend_yield", "term": "term", "months": "periods"}
 
+#: Record name -> the EdgeworthParams field it reports, in record order.
+_PARAMS = {"nu": "nu", "v": "v", "eps1": "epsilon1", "y_eff": "y_eff"}
+
 #: Keys a config file may set: the long flags, less --config and --printed-formulas.
 _CONFIG_KEYS = {
     "cap", "floor", "vol", "rate", "div", "term", "months", "order", "format",
@@ -149,16 +152,10 @@ def cmd_price(ns: argparse.Namespace) -> int:
     contract, market = _inputs(vars(ns))
     breakdown = price_ms(contract, market, order=ns.order)
     record = {name: getattr(ns, name) for name in _FIELDS}
-    record.update(
-        order=ns.order,
-        ms0=breakdown.ms0,
-        ms1=breakdown.ms1,
-        total=breakdown.total,
-        nu=breakdown.params.nu,
-        v=breakdown.params.v,
-        eps1=breakdown.params.epsilon1,
-        y_eff=breakdown.params.y_eff,
-    )
+    record.update(order=ns.order, ms0=breakdown.ms0, ms1=breakdown.ms1, total=breakdown.total)
+    # a nonpositive cap is priced without params: null in JSON, empty in CSV
+    params = breakdown.params
+    record.update({name: getattr(params, field, None) for name, field in _PARAMS.items()})
     _emit(_record_text(record, ns.format), ns.out)
     return 0
 

@@ -13,7 +13,8 @@ its first three raw moments
 two ways: by closed form, and by adaptive quadrature on the standardized
 variable. The quadrature is the module's ground truth. Both closed forms,
 cap-only and cap-and-floor, come from one partial-moment kernel
-P_n(u) = int_{-inf}^{u} (m + s*z)^n phi(z) dz.
+P_n(u) = int_{-inf}^{u} (m + s*z)^n phi(z) dz, which gives all three orders
+from one evaluation of Phi and phi per bound.
 
 Each closed form exists in two variants. ``"corrected"`` (the default) is
 the re-derived expression that agrees with quadrature to 1e-9 relative
@@ -224,53 +225,63 @@ def moment_quadrature(n: int, market: MarketParams, contract: ContractSpec) -> f
     return total
 
 
-def _partial_moment(n: int, m: float, s: float, u: float) -> float:
+def _partial_moments(m: float, s: float, u: float, cdf: float) -> tuple[float, float, float]:
     """P_n(u) = integral over z < u of (m + s*z)^n phi(z) dz, for n = 1, 2, 3.
 
     Expands (m + s*z)^n and uses the partial Gaussian moments
-    int_{-inf}^{u} z^k phi(z) dz for k = 0..3.
+    int_{-inf}^{u} z^k phi(z) dz for k = 0..3; ``cdf`` is Phi(u).
     """
-    cdf = standard_normal_cdf(u)
     pdf = standard_normal_pdf(u)
-    if n == 1:
-        return m * cdf - s * pdf
-    if n == 2:
-        return (m * m + s * s) * cdf - (s * s * u + 2.0 * m * s) * pdf
     return (
+        m * cdf - s * pdf,
+        (m * m + s * s) * cdf - (s * s * u + 2.0 * m * s) * pdf,
         (m * m * m + 3.0 * m * s * s) * cdf
-        - (3.0 * m * m * s + 3.0 * m * s * s * u + s * s * s * (u * u + 2.0)) * pdf
+        - (3.0 * m * m * s + 3.0 * m * s * s * u + s * s * s * (u * u + 2.0)) * pdf,
     )
 
 
-def _power(x: float, n: int) -> float:
-    """x^n for n = 1, 2, 3 as repeated products; pow can round differently."""
-    return x if n == 1 else x * x if n == 2 else x * x * x
+def _printed_moment(n: int, market: MarketParams, contract: ContractSpec) -> float:
+    """Printed I_n, one order per call."""
+    from . import _printed  # imported late: _printed itself imports this module
+
+    fn = _printed.capped_moment if contract.floor is None else _printed.floored_moment
+    return fn(n, market, contract)
+
+
+def _closed_moments(
+    market: MarketParams, contract: ContractSpec, variant: str
+) -> tuple[float, float, float]:
+    """Closed-form (I_1, I_2, I_3): the Gaussian body between the bounds plus their atoms.
+
+    Cap-only: I_n = P_n(c~) + c^n cap_mass. With a floor:
+    I_n = P_n(c~) - P_n(f~) + f^n floor_mass + c^n cap_mass. All three
+    orders share one geometry, so Phi and phi are evaluated once per bound
+    (floor_mass is Phi(f~)). Atom powers are repeated products: pow can
+    round differently.
+    """
+    if _is_printed(variant):
+        return tuple(_printed_moment(n, market, contract) for n in (1, 2, 3))
+    m, s = _monthly_scale(market)
+    geo = truncation_geometry(market, contract)
+    c, cm = contract.log_cap, geo.cap_mass
+    body = _partial_moments(m, s, geo.c_tilde, standard_normal_cdf(geo.c_tilde))
+    caps = (c * cm, c * c * cm, c * c * c * cm)
+    if contract.floor is None:
+        return tuple(p + a for p, a in zip(body, caps))
+    f, fm = contract.log_floor, geo.floor_mass
+    below = _partial_moments(m, s, geo.f_tilde, fm)
+    floors = (f * fm, f * f * fm, f * f * f * fm)
+    return tuple(p - q + b + a for p, q, b, a in zip(body, below, floors, caps))
 
 
 def _closed_moment(n: int, market: MarketParams, contract: ContractSpec, variant: str) -> float:
-    """Closed-form I_n: the Gaussian body between the bounds plus their atoms.
-
-    Cap-only: I_n = P_n(c~) + c^n cap_mass. With a floor:
-    I_n = P_n(c~) - P_n(f~) + f^n floor_mass + c^n cap_mass.
-    """
+    """Closed-form I_n; the printed variant evaluates that order alone."""
     printed = _is_printed(variant)
     if n not in (1, 2, 3):
         raise ValueError(f"moment order must be 1, 2 or 3, got {n!r}")
     if printed:
-        from . import _printed  # imported late: _printed itself imports this module
-
-        fn = _printed.capped_moment if contract.floor is None else _printed.floored_moment
-        return fn(n, market, contract)
-    m, s = _monthly_scale(market)
-    geo = truncation_geometry(market, contract)
-    total = _partial_moment(n, m, s, geo.c_tilde)
-    if contract.floor is not None:
-        total = (
-            total
-            - _partial_moment(n, m, s, geo.f_tilde)
-            + _power(contract.log_floor, n) * geo.floor_mass
-        )
-    return total + _power(contract.log_cap, n) * geo.cap_mass
+        return _printed_moment(n, market, contract)
+    return _closed_moments(market, contract, variant)[n - 1]
 
 
 def capped_moment_closed(
@@ -304,14 +315,9 @@ def capped_floored_moment_closed(
 def closed_form_moments(
     market: MarketParams, contract: ContractSpec, variant: str = CORRECTED
 ) -> MomentSet:
-    """All three closed-form moments, dispatching on the presence of a floor."""
-    fn = capped_moment_closed if contract.floor is None else capped_floored_moment_closed
-    return MomentSet(
-        i1=fn(1, market, contract, variant),
-        i2=fn(2, market, contract, variant),
-        i3=fn(3, market, contract, variant),
-        provenance="closed_form",
-    )
+    """All three closed-form moments from one pass over the truncation geometry."""
+    i1, i2, i3 = _closed_moments(market, contract, variant)
+    return MomentSet(i1=i1, i2=i2, i3=i3, provenance="closed_form")
 
 
 def quadrature_moments(market: MarketParams, contract: ContractSpec) -> MomentSet:

@@ -32,7 +32,6 @@ from .moments import (
     _is_printed,
     _quad_split,
     closed_form_moments,
-    quadrature_moments,
     standard_normal_cdf,
     standard_normal_pdf,
 )
@@ -149,21 +148,13 @@ def ms_correction_closed(
     return math.exp(-market.rate * t) * ep.epsilon1 * j
 
 
-def edgeworth_params(
-    contract: ContractSpec, market: MarketParams, moments: str = "closed"
-) -> EdgeworthParams:
-    """Edgeworth parameters of the aggregate law for a given contract.
+def edgeworth_params(contract: ContractSpec, market: MarketParams) -> EdgeworthParams:
+    """Edgeworth parameters of the aggregate law, from the closed-form moments.
 
-    ``moments`` selects the route to the per-month raw moments:
-    ``"closed"`` (default) or ``"quadrature"``.
+    The quadrature moments give the same law through
+    ``aggregate(cumulants_from_moments(quadrature_moments(market, contract)), market)``.
     """
-    if moments == "closed":
-        mset = closed_form_moments(market, contract)
-    elif moments == "quadrature":
-        mset = quadrature_moments(market, contract)
-    else:
-        raise ValueError(f"moments must be 'closed' or 'quadrature', got {moments!r}")
-    return aggregate(cumulants_from_moments(mset), market)
+    return aggregate(cumulants_from_moments(closed_form_moments(market, contract)), market)
 
 
 @dataclass(frozen=True)
@@ -172,14 +163,15 @@ class PriceBreakdown:
 
     ``ms0`` is the leading Gaussian term, ``ms1`` the first-order skewness
     correction (zero when ``order`` is 0), ``total`` their sum. ``params``
-    carries the aggregate-law parameters the terms were computed from.
+    carries the aggregate-law parameters the terms were computed from, and
+    is None for a nonpositive cap, which is priced without them.
     """
 
     ms0: float
     ms1: float
     total: float
     order: int
-    params: EdgeworthParams
+    params: EdgeworthParams | None
 
 
 def price_ms(
@@ -187,7 +179,6 @@ def price_ms(
     market: MarketParams,
     order: int = 1,
     correction: str = "quadrature",
-    moments: str = "closed",
 ) -> PriceBreakdown:
     """Value the monthly-sum contract by cumulant expansion.
 
@@ -198,23 +189,23 @@ def price_ms(
             correction.
         correction: route for the order-1 term, ``"quadrature"`` (default)
             or ``"closed"``.
-        moments: route for the per-month moments, ``"closed"`` (default)
-            or ``"quadrature"``.
 
     Returns:
         The price breakdown. When the cap is nonpositive every capped
         monthly return is nonpositive, the payoff is identically zero, and
-        the exact price 0.0 is returned directly; the expansion would
-        misprice this degenerate contract because its aggregate law places
-        Gaussian mass above the all-months-capped maximum.
+        the exact price 0.0 is returned, with ``params`` None, before any
+        moment is computed; the expansion would misprice this degenerate
+        contract (its aggregate law places Gaussian mass above the
+        all-months-capped maximum) and, where the capped law is a point
+        mass to double precision, fail on a nonpositive variance.
     """
     if order not in (0, 1):
         raise ValueError(f"order must be 0 or 1, got {order!r}")
     if correction not in ("quadrature", "closed"):
         raise ValueError(f"correction must be 'quadrature' or 'closed', got {correction!r}")
-    ep = edgeworth_params(contract, market, moments=moments)
     if contract.cap <= 0.0:
-        return PriceBreakdown(ms0=0.0, ms1=0.0, total=0.0, order=order, params=ep)
+        return PriceBreakdown(ms0=0.0, ms1=0.0, total=0.0, order=order, params=None)
+    ep = edgeworth_params(contract, market)
     ms0 = ms_leading(ep, market)
     if order == 0:
         return PriceBreakdown(ms0=ms0, ms1=0.0, total=ms0, order=0, params=ep)

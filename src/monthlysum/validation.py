@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 from .contracts import ContractSpec, MarketParams
 from .moments import (
     CORRECTED,
     PRINTED,
+    _closed_moments,
     _is_printed,
-    capped_floored_moment_closed,
-    capped_moment_closed,
     moment_quadrature,
 )
 from .pricer import edgeworth_params, ms_correction_closed, ms_correction_quadrature
@@ -175,51 +173,45 @@ def validate_point(
     """
     market = point.market()
     contract = point.contract()
-    floored = contract.floor is not None
-    closed_fn = capped_floored_moment_closed if floored else capped_moment_closed
-    suffix = "capfloor" if floored else "cap"
+    suffix = "cap" if contract.floor is None else "capfloor"
+    formulas = (f"I1_{suffix}", f"I2_{suffix}", f"I3_{suffix}", "ms1_closed")
+    tols = (moment_tol, moment_tol, moment_tol, correction_tol)
+    references = [moment_quadrature(n, market, contract) for n in (1, 2, 3)]
+    ep = edgeworth_params(contract, market)
+    references.append(ms_correction_quadrature(ep, market))
+
+    def closed(which: str) -> tuple[float, ...]:
+        # the four closed forms under test, in ``formulas`` order
+        return (*_closed_moments(market, contract, which), ms_correction_closed(ep, market, which))
+
+    corrected = closed(CORRECTED)
+    tested = corrected if variant == CORRECTED else closed(variant)
+    printed = None
+    if collect_discrepancies:
+        printed = tested if variant == PRINTED else closed(PRINTED)
 
     failures: list[CheckFailure] = []
     discrepancies: list[Discrepancy] = []
     errs: dict = {}
-
-    def check(formula: str, tol: float, reference: float, closed) -> None:
-        # closed(variant) evaluates the formula under test in that variant
-        corrected = closed(CORRECTED)
-        tested = corrected if variant == CORRECTED else closed(variant)
-        err = _rel(tested, reference)
+    for k, formula in enumerate(formulas):
+        err = _rel(tested[k], references[k])
         errs[formula] = err
-        if err > tol:
+        if err > tols[k]:
             failures.append(
-                CheckFailure(point=point, check=formula, got=tested, want=reference, rel_err=err)
-            )
-        if collect_discrepancies:
-            printed = tested if variant == PRINTED else closed(PRINTED)
-            if _rel(printed, corrected) > tol:
-                discrepancies.append(
-                    Discrepancy(
-                        formula=formula,
-                        point=point,
-                        printed=printed,
-                        corrected=corrected,
-                        quadrature=reference,
-                    )
+                CheckFailure(
+                    point=point, check=formula, got=tested[k], want=references[k], rel_err=err
                 )
-
-    for n in (1, 2, 3):
-        check(
-            f"I{n}_{suffix}",
-            moment_tol,
-            moment_quadrature(n, market, contract),
-            partial(closed_fn, n, market, contract),
-        )
-    ep = edgeworth_params(contract, market)
-    check(
-        "ms1_closed",
-        correction_tol,
-        ms_correction_quadrature(ep, market),
-        partial(ms_correction_closed, ep, market),
-    )
+            )
+        if printed is not None and _rel(printed[k], corrected[k]) > tols[k]:
+            discrepancies.append(
+                Discrepancy(
+                    formula=formula,
+                    point=point,
+                    printed=printed[k],
+                    corrected=corrected[k],
+                    quadrature=references[k],
+                )
+            )
     return failures, discrepancies, errs
 
 
@@ -227,19 +219,16 @@ def run_validation(
     grid: Sequence[GridPoint] | None = None,
     variant: str = CORRECTED,
     tol: float | None = None,
-    collect_discrepancies: bool | None = None,
 ) -> ValidationReport:
     """Sweep the grid and aggregate the results.
 
     ``tol`` overrides both per-check tolerances at once (the CLI's
-    ``--tol``). ``collect_discrepancies`` defaults to True exactly when the
-    printed variant is under test.
+    ``--tol``). Discrepancy records are collected exactly when the printed
+    variant is under test.
     """
     printed = _is_printed(variant)
     if grid is None:
         grid = default_grid()
-    if collect_discrepancies is None:
-        collect_discrepancies = printed
     moment_tol = MOMENT_REL_TOL if tol is None else tol
     correction_tol = CORRECTION_REL_TOL if tol is None else tol
 
@@ -248,7 +237,7 @@ def run_validation(
     max_err: dict = {}
     for point in grid:
         failures, discrepancies, errs = validate_point(
-            point, variant, moment_tol, correction_tol, collect_discrepancies
+            point, variant, moment_tol, correction_tol, printed
         )
         all_failures.extend(failures)
         all_discrepancies.extend(discrepancies)

@@ -16,6 +16,33 @@ from monthlysum.errors import QuadratureConvergenceError
 from checkout import checkout_env
 
 
+#: Exact stdout of `price` and `price --floor -0.05 --format csv`; a change to
+#: any closed-form bit shows here.
+PRICE_STDOUT = (
+    '{\n'
+    '  "cap": 0.025,\n'
+    '  "floor": null,\n'
+    '  "vol": 0.2,\n'
+    '  "rate": 0.03,\n'
+    '  "div": 0.02,\n'
+    '  "term": 1.0,\n'
+    '  "months": 12,\n'
+    '  "order": 1,\n'
+    '  "ms0": 0.010350588623120771,\n'
+    '  "ms1": -0.002002806457090145,\n'
+    '  "total": 0.008347782166030627,\n'
+    '  "nu": -0.1598218576116548,\n'
+    '  "v": 0.14538601334078638,\n'
+    '  "eps1": -0.05172030486750738,\n'
+    '  "y_eff": 0.17925331117409113\n'
+    '}\n'
+)
+PRICE_FLOOR_CSV_STDOUT = (
+    'cap,floor,vol,rate,div,term,months,order,ms0,ms1,total,nu,v,eps1,y_eff\n'
+    '0.025,-0.05,0.2,0.03,0.02,1,12,1,0.0125180505663,-0.000412113079211,0.0121059374871,-0.0868617565271,0.105789020533,-0.0150682195067,0.111266098094\n'
+)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -77,6 +104,28 @@ class TestPrice:
         assert code == 0
         assert rec["ms1"] == 0.0
         assert rec["total"] == rec["ms0"]
+
+    def test_default_stdout_is_pinned(self, capsys):
+        assert run_cli(capsys, "price") == (0, PRICE_STDOUT, "")
+
+    def test_floored_csv_stdout_is_pinned(self, capsys):
+        got = run_cli(capsys, "price", "--floor", "-0.05", "--format", "csv")
+        assert got == (0, PRICE_FLOOR_CSV_STDOUT, "")
+
+    def test_nonpositive_cap_prices_to_zero_json(self, capsys):
+        code, out, _ = run_cli(capsys, "price", "--cap", "-0.5")
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["ms0"], rec["ms1"], rec["total"]) == (0.0, 0.0, 0.0)
+        assert all(rec[key] is None for key in ("nu", "v", "eps1", "y_eff"))
+
+    def test_nonpositive_cap_prices_to_zero_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "price", "--cap", "-0.5", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "cap,floor,vol,rate,div,term,months,order,ms0,ms1,total,nu,v,eps1,y_eff\n"
+            "-0.5,,0.2,0.03,0.02,1,12,1,0,0,0,,,,\n"
+        )
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "price.json"

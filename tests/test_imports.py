@@ -1,11 +1,15 @@
-"""Import-weight and concurrency guards on the package source."""
+"""Import-weight and concurrency guards on the package source, and the
+names the benchmark and the demos import from it."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from checkout import SRC, checkout_env
 
@@ -39,3 +43,40 @@ def test_no_module_imports_concurrent_futures():
     for path in sources:
         for module in _imported_modules(path):
             assert not module.startswith("concurrent"), f"{path.name} imports {module}"
+
+
+def _package_imports(path: Path):
+    """(module, name) per name a file imports from monthlysum; name None for ``import``."""
+    def ours(module: str) -> bool:
+        return module == "monthlysum" or module.startswith("monthlysum.")
+
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names if ours(alias.name))
+        elif isinstance(node, ast.ImportFrom) and not node.level and ours(node.module or ""):
+            yield from ((node.module, alias.name) for alias in node.names)
+
+
+def _resolves(module: str, name: str | None) -> bool:
+    """Whether ``from module import name`` (or ``import module``) would succeed."""
+    try:
+        mod = importlib.import_module(module)
+        if name is None or hasattr(mod, name):
+            return True
+        importlib.import_module(f"{module}.{name}")
+        return True
+    except ImportError:
+        return False
+
+
+@pytest.mark.parametrize("folder", ("perfbench", "demos"))
+def test_benchmark_and_demo_imports_exist(folder):
+    # reads the import statements only; no benchmark or demo code runs
+    sources = sorted((SRC.parent / folder).glob("*.py"))
+    assert sources
+    imports = [
+        (path.name, module, name) for path in sources for module, name in _package_imports(path)
+    ]
+    assert imports
+    missing = [entry for entry in imports if not _resolves(*entry[1:])]
+    assert not missing, f"names no longer in monthlysum: {missing}"

@@ -174,6 +174,57 @@ class TestClosedVersusQuadrature:
         assert closed == pytest.approx(quad, rel=1e-9, abs=1e-12)
 
 
+class TestOnePass:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cap=st.floats(0.005, 0.10),
+        floor=st.one_of(st.none(), st.floats(-0.10, 0.0)),
+        sigma=st.floats(0.05, 0.5),
+        rate=st.floats(0.0, 0.06),
+        div=st.floats(0.0, 0.03),
+        term=st.floats(1.0, 10.0),
+        periods=st.sampled_from((4, 12, 52, 252)),
+        variant=st.sampled_from(("corrected", PRINTED)),
+    )
+    def test_bundle_equals_each_order_exactly(
+        self, cap, floor, sigma, rate, div, term, periods, variant
+    ):
+        market = MarketParams(
+            rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
+        )
+        contract = ContractSpec(cap=cap, floor=floor)
+        fn = capped_moment_closed if floor is None else capped_floored_moment_closed
+        orders = tuple(fn(n, market, contract, variant) for n in (1, 2, 3))
+        try:
+            mset = closed_form_moments(market, contract, variant)
+        except NonpositiveVarianceError:
+            # the printed forms can imply a nonpositive variance
+            assert variant == PRINTED and orders[1] - orders[0] * orders[0] <= 0.0
+        else:
+            assert (mset.i1, mset.i2, mset.i3) == orders
+
+    @pytest.mark.parametrize("contract, calls", ((CAP_ONLY, 3), (CAP_FLOOR, 5)))
+    def test_normal_evaluations_per_bundle(self, monkeypatch, contract, calls):
+        # Phi(c~), phi(c~) and the cap mass; with a floor also phi(f~) and
+        # the floor mass, which doubles as Phi(f~)
+        from monthlysum import moments
+
+        count = 0
+
+        def counted(fn):
+            def wrapper(z):
+                nonlocal count
+                count += 1
+                return fn(z)
+
+            return wrapper
+
+        for name in ("standard_normal_cdf", "standard_normal_pdf"):
+            monkeypatch.setattr(moments, name, counted(getattr(moments, name)))
+        closed_form_moments(MARKET, contract)
+        assert count == calls
+
+
 class TestPrintedVariants:
     def test_printed_i1_i3_cap_match_corrected(self):
         for n in (1, 3):

@@ -11,18 +11,23 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monthlysum import (
     ContractSpec,
     EdgeworthParams,
     MarketParams,
+    aggregate,
     bs_call,
     bs_put,
+    cumulants_from_moments,
     edgeworth_params,
     ms_correction_closed,
     ms_correction_quadrature,
     ms_leading,
     price_ms,
+    quadrature_moments,
 )
 from monthlysum.moments import PRINTED
 
@@ -141,18 +146,47 @@ class TestPriceMs:
         assert closed.ms1 == pytest.approx(quad.ms1, rel=1e-8)
 
     def test_moment_routes_agree(self):
-        closed = price_ms(CAP_ONLY, MARKET, moments="closed")
-        quad = price_ms(CAP_ONLY, MARKET, moments="quadrature")
-        assert quad.total == pytest.approx(closed.total, rel=1e-9)
+        # the quadrature moments reach the aggregate law by composing the stages
+        for contract in (CAP_ONLY, ContractSpec(cap=0.025, floor=-0.05)):
+            quad = aggregate(cumulants_from_moments(quadrature_moments(MARKET, contract)), MARKET)
+            closed = edgeworth_params(contract, MARKET)
+            for field in ("nu", "v", "epsilon1"):
+                assert getattr(quad, field) == pytest.approx(getattr(closed, field), rel=1e-9)
 
     def test_nonpositive_cap_prices_to_zero(self):
-        # every monthly return is capped at <= 0, so the sum never exceeds 0
-        for cap in (0.0, -0.01):
+        # every monthly return is capped at <= 0, so the sum never exceeds 0;
+        # at cap -0.5 the capped law is a point mass to double precision
+        for cap in (0.0, -0.01, -0.5):
             out = price_ms(ContractSpec(cap=cap), MARKET)
             assert out.total == 0.0
             assert out.ms0 == 0.0
             assert out.ms1 == 0.0
-            assert out.params.v > 0.0
+            assert out.params is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cap=st.floats(-1.0, 0.0, exclude_min=True),
+        floor_share=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        sigma=st.floats(1e-14, 2.0),
+        rate=st.floats(-0.05, 0.2),
+        div=st.floats(0.0, 0.2),
+        term=st.floats(0.01, 50.0),
+        periods=st.sampled_from((1, 4, 12, 52, 252, 360)),
+        order=st.sampled_from((0, 1)),
+        correction=st.sampled_from(("quadrature", "closed")),
+    )
+    def test_any_nonpositive_cap_prices_to_exactly_zero(
+        self, cap, floor_share, sigma, rate, div, term, periods, order, correction
+    ):
+        floor = None if floor_share is None else -1.0 + (cap + 1.0) * floor_share
+        if floor is not None and not -1.0 < floor < cap:
+            floor = None
+        market = MarketParams(
+            rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
+        )
+        contract = ContractSpec(cap=cap, floor=floor)
+        out = price_ms(contract, market, order=order, correction=correction)
+        assert (out.ms0, out.ms1, out.total, out.params) == (0.0, 0.0, 0.0, None)
 
     def test_floored_contract_prices_above_unfloored(self):
         floored = price_ms(ContractSpec(cap=0.025, floor=-0.05), MARKET)
@@ -164,5 +198,3 @@ class TestPriceMs:
             price_ms(CAP_ONLY, MARKET, order=2)
         with pytest.raises(ValueError, match="correction"):
             price_ms(CAP_ONLY, MARKET, correction="series")
-        with pytest.raises(ValueError, match="moments"):
-            price_ms(CAP_ONLY, MARKET, moments="mc")
