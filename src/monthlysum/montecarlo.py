@@ -11,8 +11,8 @@ Draws come from the counter-based generator in :mod:`monthlysum.rng`, so a
 path's normals are a pure function of (seed, path index, stream id). Paths
 are processed serially in fixed blocks of :data:`BLOCK`, and all reductions
 happen after assembly. The ``threads`` argument is accepted (it must be at
-least 1) and has no effect: each block is a few dozen small numpy calls
-that hold the GIL between them, so a thread pool only added overhead.
+least 1) and has no effect: each block is a run of small numpy calls that
+hold the GIL between them, so a thread pool only added overhead.
 
 With ``common_random_numbers`` both payoffs read the shared stream, making
 their difference a low-variance estimate of the capping-convention gap.
@@ -100,7 +100,7 @@ def _block_normals(
     base = path_normals(cfg.seed, start // 2, (stop - start) // 2, count, stream)
     z = np.empty((stop - start, count))
     z[0::2] = base
-    z[1::2] = -base
+    np.negative(base, out=z[1::2])
     return z
 
 
@@ -118,12 +118,15 @@ def _capped_sums(
     Log returns bounded by ``log_cap``/``log_floor`` when ``log_returns``,
     otherwise simple returns bounded by ``cap``/``floor``.
     """
-    z = _block_normals(cfg, market, stream, start, stop)
-    x = market.mu * market.dt + market.sigma * math.sqrt(market.dt) * z
+    # x = drift + scale * z, in place on the fresh block of normals
+    x = _block_normals(cfg, market, stream, start, stop)
+    x *= market.sigma * math.sqrt(market.dt)
+    x += market.mu * market.dt
     if log_returns:
         cap, floor = contract.log_cap, contract.log_floor
     else:
-        x, cap, floor = np.expm1(x), contract.cap, contract.floor
+        cap, floor = contract.cap, contract.floor
+        np.expm1(x, out=x)
     np.minimum(x, cap, out=x)
     if floor is not None:
         np.maximum(x, floor, out=x)
@@ -144,7 +147,9 @@ def _run(
     for start in range(0, cfg.paths, BLOCK):
         stop = min(start + BLOCK, cfg.paths)
         sums = _capped_sums(contract, market, cfg, stream, log_payoff, start, stop)
-        payoffs[start:stop] = np.maximum(np.expm1(sums) if log_payoff else sums, 0.0)
+        if log_payoff:
+            np.expm1(sums, out=sums)
+        np.maximum(sums, 0.0, out=payoffs[start:stop])
 
     samples = 0.5 * (payoffs[0::2] + payoffs[1::2]) if cfg.antithetic else payoffs
     discount = math.exp(-market.rate * market.term)

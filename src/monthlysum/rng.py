@@ -1,15 +1,24 @@
 """Counter-based random numbers with per-path determinism.
 
-Implements Philox4x32-10 (a counter-based block cipher style generator)
-vectorized over numpy arrays. Each 128-bit counter block encrypts to four
-32-bit words under a 64-bit key; blocks are independent, so any path's
-variates can be generated in isolation.
+Implements Philox4x32-10 (Salmon, Moraes, Dror and Shaw, SC'11), vectorized
+over numpy arrays. Each 128-bit counter block encrypts to four 32-bit words
+under a 64-bit key; blocks are independent, so any path's variates can be
+generated in isolation.
 
 Layout used by the Monte Carlo engine: key = the user seed (low and high
 32-bit halves); counter = (block index within the path, path index low,
-path index high, stream id). A path's normals therefore depend only on
-(seed, path index, stream id), never on how paths are batched into
-blocks.
+path index high, stream id). A path's normals are therefore a pure function
+of (seed, path index, stream id), and no batching of the work can change a
+draw: it only decides which counter blocks share a pass.
+
+The four counter words live in uint64 lanes, each holding a value below
+2^32, for all ten rounds. The round multiply then yields the exact 64-bit
+product, whose halves are ``>> 32`` and ``& 0xFFFFFFFF``, with no casts.
+One pass of the rounds covers a tile of :data:`_TILE` lanes taken in order
+from the (path, block) grid of the request, path-major, so a short path
+shares its pass with its neighbours and a request of n paths of b blocks
+makes ceil(n * b / _TILE) passes. Every step works in place on
+preallocated buffers, and the finished words go straight into the output.
 
 Uniforms are built from 52 of the 64 bits as ((bits >> 12) + 0.5) * 2^-52,
 every value exactly representable and strictly inside (0, 1), so the
@@ -36,6 +45,10 @@ _W1 = 0xBB67AE85
 _MASK32 = 0xFFFFFFFF
 _ROUNDS = 10
 
+#: Counter blocks (lanes) per pass of the rounds. It bounds the six lane
+#: buffers of a pass to 6 * 8 * _TILE bytes; the draws do not depend on it.
+_TILE = 12288
+
 #: Stream ids: one shared stream for common-random-number comparisons, and
 #: a private stream per payoff for independent runs.
 STREAM_SHARED = 0
@@ -45,37 +58,47 @@ STREAM_MSLN = 2
 _TWO_NEG_52 = 2.0**-52
 
 
-def _philox_rounds(
-    c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, key0: int, key1: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run the ten Philox rounds on parallel uint32 counter lanes."""
+def _rounds(c0, c1, c2, c3, p0, p1, key0: int, key1: int) -> None:
+    """Run the ten Philox rounds in place on uint64 lanes holding 32-bit words.
+
+    ``p0`` and ``p1`` are scratch lanes of the same length as the counters.
+    """
     k0 = key0 & _MASK32
     k1 = key1 & _MASK32
     for _ in range(_ROUNDS):
-        prod0 = c0.astype(np.uint64) * _M0
-        prod1 = c2.astype(np.uint64) * _M1
-        hi0 = (prod0 >> np.uint64(32)).astype(np.uint32)
-        lo0 = prod0.astype(np.uint32)
-        hi1 = (prod1 >> np.uint64(32)).astype(np.uint32)
-        lo1 = prod1.astype(np.uint32)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint32(k0), lo1, hi0 ^ c3 ^ np.uint32(k1), lo0
+        np.multiply(c0, _M0, out=p0)
+        np.multiply(c2, _M1, out=p1)
+        np.right_shift(p1, 32, out=c0)
+        c0 ^= c1
+        c0 ^= k0
+        np.bitwise_and(p1, _MASK32, out=c1)
+        np.right_shift(p0, 32, out=c2)
+        c2 ^= c3
+        c2 ^= k1
+        np.bitwise_and(p0, _MASK32, out=c3)
         k0 = (k0 + _W0) & _MASK32
         k1 = (k1 + _W1) & _MASK32
-    return c0, c1, c2, c3
 
 
 def philox4x32(
     counter: tuple[int, int, int, int], key: tuple[int, int]
 ) -> tuple[int, int, int, int]:
     """Encrypt one counter block; exposed for known-answer verification."""
-    lanes = [np.array([word & _MASK32], dtype=np.uint32) for word in counter]
-    out = _philox_rounds(*lanes, key[0], key[1])
-    return tuple(int(word[0]) for word in out)
+    lanes = [np.array([word & _MASK32], dtype=np.uint64) for word in counter]
+    _rounds(*lanes, np.empty(1, np.uint64), np.empty(1, np.uint64), key[0], key[1])
+    return tuple(int(word[0]) for word in lanes)
 
 
-def _to_uniform(bits: np.ndarray) -> np.ndarray:
-    """Map uint64 words to doubles strictly inside (0, 1)."""
-    return ((bits >> np.uint64(12)).astype(np.float64) + 0.5) * _TWO_NEG_52
+def _to_unit_interval(bits: np.ndarray) -> np.ndarray:
+    """Map uint64 words, in place, to doubles strictly inside (0, 1).
+
+    Returns the float64 view of ``bits``' memory that now holds the values.
+    """
+    bits >>= np.uint64(12)
+    u = bits.view(np.float64)
+    np.add(bits, 0.5, out=u)
+    u *= _TWO_NEG_52
+    return u
 
 
 def path_normals(seed: int, first_path: int, n_paths: int, count: int, stream: int) -> np.ndarray:
@@ -87,31 +110,50 @@ def path_normals(seed: int, first_path: int, n_paths: int, count: int, stream: i
 
     Args:
         seed: generator key, 0 <= seed < 2^64.
-        first_path: index of the first path in the range.
-        n_paths: number of consecutive paths.
-        count: normals per path.
-        stream: stream id keeping distinct payoffs decorrelated.
+        first_path: index of the first path in the range; the range must
+            satisfy 0 <= first_path and first_path + n_paths <= 2^64.
+        n_paths: number of consecutive paths, 0 or more.
+        count: normals per path, 0 or more.
+        stream: stream id keeping distinct payoffs decorrelated,
+            0 <= stream < 2^32.
+
+    Raises:
+        ValueError: for an argument outside these ranges.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed!r}")
     if first_path < 0 or n_paths < 0 or count < 0:
         raise ValueError("first_path, n_paths and count must be nonnegative")
-    key0 = seed & _MASK32
-    key1 = (seed >> 32) & _MASK32
+    if first_path + n_paths > 2**64:
+        raise ValueError(
+            f"paths [{first_path}, {first_path + n_paths}) exceed the 2^64 path indices"
+        )
+    if not 0 <= stream < 2**32:
+        raise ValueError(f"stream must be in [0, 2^32), got {stream!r}")
 
-    path_index = np.arange(first_path, first_path + n_paths, dtype=np.uint64)
-    c1 = path_index.astype(np.uint32)
-    c2 = (path_index >> np.uint64(32)).astype(np.uint32)
-    c3 = np.full(n_paths, stream & _MASK32, dtype=np.uint32)
-
-    uniforms = np.empty((n_paths, count), dtype=np.float64)
-    for block in range((count + 1) // 2):
-        c0 = np.full(n_paths, block, dtype=np.uint32)
-        w0, w1, w2, w3 = _philox_rounds(c0, c1, c2, c3, key0, key1)
-        first = (w0.astype(np.uint64) << np.uint64(32)) | w1.astype(np.uint64)
-        second = (w2.astype(np.uint64) << np.uint64(32)) | w3.astype(np.uint64)
-        col = 2 * block
-        uniforms[:, col] = _to_uniform(first)
-        if col + 1 < count:
-            uniforms[:, col + 1] = _to_uniform(second)
-    return ndtri(uniforms)
+    blocks = (count + 1) // 2
+    lanes = n_paths * blocks
+    # two words per block, written in column order: row p is path p's draws
+    words = np.empty((n_paths, 2 * blocks), dtype=np.uint64)
+    flat = words.reshape(lanes, 2)
+    buffers = np.empty((6, min(_TILE, lanes)), dtype=np.uint64)
+    for lo in range(0, lanes, _TILE):
+        n = min(_TILE, lanes - lo)
+        c0, c1, c2, c3, p0, p1 = buffers[:, :n]
+        # lane lo + i holds block (lo + i) % blocks of path (lo + i) // blocks
+        np.divmod(np.arange(lo, lo + n, dtype=np.uint64), np.uint64(blocks), out=(p0, c0))
+        p0 += np.uint64(first_path)
+        np.bitwise_and(p0, _MASK32, out=c1)
+        np.right_shift(p0, 32, out=c2)
+        c3.fill(stream)
+        _rounds(c0, c1, c2, c3, p0, p1, seed, seed >> 32)
+        out = flat[lo : lo + n]
+        np.left_shift(c0, 32, out=out[:, 0])
+        out[:, 0] |= c1
+        np.left_shift(c2, 32, out=out[:, 1])
+        out[:, 1] |= c3
+        _to_unit_interval(out)
+    uniforms = words.view(np.float64)
+    if count % 2:
+        return ndtri(uniforms[:, :count])
+    return ndtri(uniforms, out=uniforms)

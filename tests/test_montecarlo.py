@@ -12,8 +12,10 @@ import pytest
 
 from monthlysum import (
     ContractSpec,
+    CumulantSet,
     MarketParams,
     McConfig,
+    McResult,
     empirical_cumulants,
     price_ms,
     simulate_ms,
@@ -37,6 +39,42 @@ class TestRegressionPoints:
         res = simulate_msln(CAP_ONLY, MARKET, McConfig(paths=100_000, seed=42))
         assert res.mean == pytest.approx(0.008056090339917775, rel=1e-13)
         assert res.stderr == pytest.approx(8.750447941944331e-05, rel=1e-13)
+
+
+class TestExactPins:
+    """Whole results compared with ``==``: any change to a drawn bit fails here.
+
+    Recorded before the Philox rounds were batched over tiles of counter
+    blocks; 10^4 paths span two full engine blocks and a partial third.
+    """
+
+    LONG = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=5.0, periods=60)
+    FLOORED = ContractSpec(cap=0.025, floor=-0.03)
+
+    @pytest.mark.parametrize(
+        "fn, antithetic, expected",
+        (
+            (simulate_ms, False, McResult(0.008112822472706211, 0.00026454484491526137, 10_000)),
+            (simulate_ms, True, McResult(0.008351432944579004, 0.0002526638865244965, 10_000)),
+            (simulate_msln, False, McResult(0.007818284064624256, 0.0002704334834590667, 10_000)),
+            (simulate_msln, True, McResult(0.008040920575523663, 0.000259466380853045, 10_000)),
+        ),
+    )
+    def test_twelve_periods(self, fn, antithetic, expected):
+        cfg = McConfig(paths=10_000, seed=42, antithetic=antithetic)
+        assert fn(CAP_ONLY, MARKET, cfg) == expected
+
+    def test_sixty_periods_with_floor(self):
+        res = simulate_ms(self.FLOORED, self.LONG, McConfig(paths=5_000, seed=42))
+        assert res == McResult(0.02524945685038768, 0.000820772500500128, 5_000)
+
+    def test_empirical_cumulants(self):
+        est = empirical_cumulants(self.FLOORED, MARKET, McConfig(paths=10_000, seed=42))
+        assert est == CumulantSet(
+            iota1=-0.0022091809778739878,
+            iota2=0.0005734862528121107,
+            iota3=-1.4576252584785535e-06,
+        )
 
 
 class TestDeterminism:

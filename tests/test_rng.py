@@ -2,19 +2,27 @@
 
 The three Philox4x32-10 known-answer vectors are the published reference
 outputs for the all-zero block, the all-ones block, and the pi-digit block.
+``philox_reference.py`` freezes the earlier one-pass-per-block generator;
+the tiled generator must reproduce its every bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import philox_reference
+from monthlysum import rng
 from monthlysum.rng import (
     STREAM_MS,
     STREAM_MSLN,
     STREAM_SHARED,
-    _to_uniform,
+    _to_unit_interval,
     path_normals,
     philox4x32,
 )
@@ -41,7 +49,7 @@ class TestKnownAnswers:
 class TestUniformMapping:
     def test_extreme_words_stay_inside_unit_interval(self):
         bits = np.array([0, 2**64 - 1], dtype=np.uint64)
-        u = _to_uniform(bits)
+        u = _to_unit_interval(bits)
         assert u[0] == 2.0**-53
         assert u[1] == 1.0 - 2.0**-53
         assert np.isfinite(ndtri(u)).all()
@@ -118,3 +126,84 @@ class TestValidation:
     def test_empty_requests_allowed(self):
         assert path_normals(seed=0, first_path=0, n_paths=0, count=4, stream=0).shape == (0, 4)
         assert path_normals(seed=0, first_path=0, n_paths=3, count=0, stream=0).shape == (3, 0)
+
+    def test_stream_range_checked(self):
+        # a stream id is one 32-bit counter word: 2^32 would alias stream 0
+        for stream in (-1, 2**32):
+            with pytest.raises(ValueError, match="stream"):
+                path_normals(seed=0, first_path=0, n_paths=1, count=2, stream=stream)
+        path_normals(seed=0, first_path=0, n_paths=1, count=2, stream=2**32 - 1)
+
+    def test_path_range_reaches_the_last_index(self):
+        last = 2**64 - 1
+        z = path_normals(seed=5, first_path=last, n_paths=1, count=3, stream=STREAM_MS)
+        # path 2^64 - 1 from the known-answer entry point: counter
+        # (block, path low, path high, stream), key (seed low, seed high)
+        expected = []
+        for block in (0, 1):
+            w = philox4x32((block, last & 0xFFFFFFFF, last >> 32, STREAM_MS), (5, 0))
+            for bits in ((w[0] << 32) | w[1], (w[2] << 32) | w[3]):
+                expected.append(ndtri(((bits >> 12) + 0.5) * 2.0**-52))
+        np.testing.assert_array_equal(z[0], expected[:3])
+        tail = path_normals(seed=5, first_path=last - 2, n_paths=3, count=3, stream=STREAM_MS)
+        np.testing.assert_array_equal(tail[2], z[0])
+        assert path_normals(seed=5, first_path=2**64, n_paths=0, count=3, stream=0).shape == (0, 3)
+
+    def test_path_range_beyond_2_pow_64_checked(self):
+        for first_path, n_paths in ((2**64 - 1, 2), (2**64, 1), (0, 2**64 + 1)):
+            with pytest.raises(ValueError, match="2\\^64"):
+                path_normals(seed=0, first_path=first_path, n_paths=n_paths, count=2, stream=0)
+
+
+#: Lanes (counter blocks) per pass of the rounds, read from the module.
+TILE = rng._TILE
+
+
+@st.composite
+def draw_requests(draw):
+    """(seed, first_path, n_paths, count, stream) across the reference's range."""
+    count = draw(st.integers(0, 61))
+    blocks = max(1, (count + 1) // 2)
+    # up to several tiles of lanes, mostly not a whole number of tiles
+    n_paths = draw(st.integers(0, 3 * TILE // blocks + 7))
+    # the reference builds indices with np.arange, which cannot stop at 2^64
+    top = 2**64 - 1 - n_paths
+    first_path = draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, 64),
+            st.integers(2**32 - n_paths - 3, 2**32 + 3),
+            st.integers(0, top),
+            st.integers(top - 64, top),
+        )
+    )
+    seed = draw(st.integers(0, 2**64 - 1))
+    stream = draw(st.sampled_from((0, 1, 2, 2**32 - 1)))
+    return seed, first_path, n_paths, count, stream
+
+
+class TestFrozenReference:
+    @settings(max_examples=150, deadline=None)
+    @given(request=draw_requests())
+    def test_bits_match_the_per_block_generator(self, request):
+        got = path_normals(*request)
+        want = philox_reference.path_normals(*request)
+        assert got.shape == want.shape == request[2:4]
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("count", (60, 12))
+    def test_passes_cover_a_tile_of_blocks_each(self, monkeypatch, count):
+        passes = 0
+        rounds = rng._rounds
+
+        def counted(*args):
+            nonlocal passes
+            passes += 1
+            return rounds(*args)
+
+        monkeypatch.setattr(rng, "_rounds", counted)
+        path_normals(seed=3, first_path=0, n_paths=4096, count=count, stream=0)
+        # one pass per counter block would make count / 2 passes (30, 6)
+        assert passes == math.ceil(4096 * (count // 2) / TILE)
