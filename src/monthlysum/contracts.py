@@ -50,7 +50,7 @@ class MarketParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.term <= 0.0:
             raise ValueError(f"term must be positive, got {self.term}")
-        if not isinstance(self.periods, int) or self.periods < 1:
+        if isinstance(self.periods, bool) or not isinstance(self.periods, int) or self.periods < 1:
             raise ValueError(f"periods must be an integer >= 1, got {self.periods!r}")
 
     @property

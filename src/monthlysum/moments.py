@@ -77,22 +77,28 @@ def standard_normal_cdf(z):
     """Standard normal CDF, accurate to about 1e-15 absolute everywhere.
 
     Evaluated as 0.5*erfc(-z/sqrt(2)) so the far tails do not suffer the
-    cancellation a 0.5*(1 + erf(...)) form would. Accepts scalars or arrays;
-    +inf and -inf map to 1.0 and 0.0.
+    cancellation a 0.5*(1 + erf(...)) form would. +inf and -inf map to 1.0
+    and 0.0. A scalar gives a float, an array (or sequence) an ndarray; a
+    float goes through the expression as is, with no array built, and its
+    result is bit-identical to the same element of the array route.
     """
-    out = 0.5 * erfc(np.negative(z) / _SQRT2)
-    if np.ndim(z) == 0:
-        return float(out)
-    return out
+    if not isinstance(z, float):
+        z = np.asarray(z)
+    out = 0.5 * erfc(-z / _SQRT2)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def standard_normal_pdf(z):
-    """Standard normal density."""
-    z = np.asarray(z, dtype=float)
+    """Standard normal density.
+
+    A scalar gives a float, an array (or sequence) an ndarray; a float goes
+    through the expression as is, with no array built, and its result is
+    bit-identical to the same element of the array route.
+    """
+    if not isinstance(z, float):
+        z = np.asarray(z, dtype=float)
     out = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def _monthly_scale(market: MarketParams) -> tuple[float, float]:

@@ -21,6 +21,7 @@ their difference a low-variance estimate of the capping-convention gap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,10 @@ class McConfig:
     common_random_numbers: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.paths < 2:
             raise ValueError(f"paths must be at least 2, got {self.paths!r}")
         if self.antithetic:

@@ -36,6 +36,8 @@ class TestMarketParams:
             make_market(periods=0)
         with pytest.raises(ValueError, match="periods"):
             make_market(periods=2.5)
+        with pytest.raises(ValueError, match="periods"):
+            make_market(periods=True)  # a bool is not a period count
 
     def test_rejects_nonfinite_fields(self):
         with pytest.raises(ValueError):

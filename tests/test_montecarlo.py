@@ -222,6 +222,19 @@ class TestConfigGuards:
         with pytest.raises(ValueError, match="paths"):
             McConfig(paths=1)
 
+    def test_non_integer_counts_rejected(self):
+        # caught here, not later inside simulate_ms as a bare TypeError
+        with pytest.raises(ValueError, match="paths"):
+            McConfig(paths=4096.5)
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(paths=5000, seed=1.5)
+        with pytest.raises(ValueError, match="paths"):
+            McConfig(paths=True)
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(paths=5000, seed=True)
+        # numpy integers stay accepted
+        assert McConfig(paths=np.int64(5000), seed=np.uint64(2**63)).paths == 5000
+
     def test_seed_range(self):
         with pytest.raises(ValueError, match="seed"):
             McConfig(paths=100, seed=-1)

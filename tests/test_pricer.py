@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,8 +28,10 @@ from monthlysum import (
     ms_correction_quadrature,
     ms_leading,
     price_ms,
+    pricer,
     quadrature_moments,
 )
+from monthlysum.pricer import PriceBreakdown
 from monthlysum.moments import PRINTED
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
@@ -198,3 +201,144 @@ class TestPriceMs:
             price_ms(CAP_ONLY, MARKET, order=2)
         with pytest.raises(ValueError, match="correction"):
             price_ms(CAP_ONLY, MARKET, correction="series")
+
+
+def _breakdown(ms0, ms1, total, nu, v, epsilon1, y_eff, term):
+    ep = EdgeworthParams(nu=nu, v=v, epsilon1=epsilon1, y_eff=y_eff, term=term)
+    return PriceBreakdown(ms0=ms0, ms1=ms1, total=total, order=1, params=ep)
+
+
+# whole results of price_ms at its defaults (quadrature correction),
+# compared with ==, so any changed bit of the integrand or the closed form
+# fails these
+EXACT_PINS = (
+    (
+        CAP_ONLY,
+        MARKET,
+        _breakdown(
+            0.010350588623120771, -0.002002806457090145, 0.008347782166030627,
+            -0.1598218576116548, 0.14538601334078638, -0.05172030486750738,
+            0.17925331117409113, 1.0,
+        ),
+    ),
+    (
+        ContractSpec(cap=0.025, floor=-0.05),
+        MARKET,
+        _breakdown(
+            0.01251805056627353, -0.0004121130792107777, 0.012105937487062754,
+            -0.08686175652714652, 0.10578902053343564, -0.015068219506653121,
+            0.11126609809443469, 1.0,
+        ),
+    ),
+    # six draws from the benchmark's quote ranges (random.Random(2026), draws
+    # 7, 16, 46, 48, 52, 69): every period count, with and without a floor,
+    # each one whose price moves when some integrand values move by an ulp
+    # (checked by evaluating the density with math.exp instead of np.exp)
+    (
+        ContractSpec(cap=0.05858001226925958),
+        MarketParams(
+            rate=0.030776965104633815, dividend_yield=0.024155194318006067,
+            sigma=0.3089823082166626, term=7.892436907894832, periods=4,
+        ),
+        _breakdown(
+            0.028277118562140532, -0.017743735571121067, 0.010533382991019465,
+            -0.09828679404488486, 0.2128514751749929, -0.10125793227717343,
+            0.10641088390743336, 7.892436907894832,
+        ),
+    ),
+    (
+        ContractSpec(cap=0.06296270348435795, floor=-0.08791810898402731),
+        MarketParams(
+            rate=0.002679544576341659, dividend_yield=0.016393458535455215,
+            sigma=0.17084139735113607, term=7.818952729692134, periods=52,
+        ),
+        _breakdown(
+            0.036812821486610525, -0.0005799858709268988, 0.03623283561568363,
+            -0.04698581058573512, 0.13254859190478857, -0.004442786841847753,
+            0.04088079055410569, 7.818952729692134,
+        ),
+    ),
+    (
+        ContractSpec(cap=0.06551608274480863),
+        MarketParams(
+            rate=0.028443759484748064, dividend_yield=0.023658868671969334,
+            sigma=0.311260865185314, term=2.691120456342756, periods=252,
+        ),
+        _breakdown(
+            0.15008551870350534, -0.0002829089247764554, 0.1498026097787289,
+            -0.07010806131674091, 0.3048180419598113, -0.0013431482766809507,
+            0.05209480144938232, 2.691120456342756,
+        ),
+    ),
+    (
+        ContractSpec(cap=0.06571605024035583, floor=-0.06272061351930759),
+        MarketParams(
+            rate=0.043860497146106445, dividend_yield=0.004138817648898915,
+            sigma=0.3827840331594511, term=9.989301734652797, periods=4,
+        ),
+        _breakdown(
+            0.024849309259840247, 0.00021874861135437088, 0.025068057871194618,
+            -0.0030330679140799024, 0.03923053393249446, 0.018298566683659354,
+            0.04612404766387205, 9.989301734652797,
+        ),
+    ),
+    (
+        ContractSpec(cap=0.0854943597507876),
+        MarketParams(
+            rate=0.05635303858935217, dividend_yield=0.010669743600218363,
+            sigma=0.3975665715035591, term=7.988277657413528, periods=12,
+        ),
+        _breakdown(
+            0.014453517957935237, -0.008471026226236794, 0.005982491731698443,
+            -0.15940168200503416, 0.27428392863813505, -0.05827572101797351,
+            0.17813888383980153, 7.988277657413528,
+        ),
+    ),
+    (
+        ContractSpec(cap=0.09459346532098258, floor=-0.03268570738227841),
+        MarketParams(
+            rate=0.042330953170112415, dividend_yield=0.0025284653680679625,
+            sigma=0.2376675756299721, term=5.696207323150805, periods=12,
+        ),
+        _breakdown(
+            0.25910508930240306, -0.00021822541267764383, 0.2588868638897254,
+            0.045936131184034015, 0.07983353899019442, 0.010518566647813364,
+            -0.006791874987771047, 5.696207323150805,
+        ),
+    ),
+)
+
+
+class TestExactPins:
+    @pytest.mark.parametrize("contract, market, expected", EXACT_PINS)
+    def test_default_breakdown_is_bit_exact(self, contract, market, expected):
+        assert price_ms(contract, market) == expected
+
+
+class TestScalarWork:
+    # the quadrature correction takes 168 integrand evaluations at both golden
+    # points; a float through the normal helpers must build no array on top
+    # of that work (wrapping each float in a 0-d array cost 169 + 4 and
+    # 170 + 5 np.asarray/np.ndim calls here)
+    @pytest.mark.parametrize("contract", (CAP_ONLY, ContractSpec(cap=0.025, floor=-0.05)))
+    def test_no_array_conversions_and_same_quadrature_work(self, monkeypatch, contract):
+        counts = {"asarray": 0, "ndim": 0, "integrand": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        quad_split = pricer._quad_split
+
+        def counting_quad_split(fn, *args):
+            return quad_split(counted("integrand", fn), *args)
+
+        price_ms(contract, MARKET)  # warm any lazy imports first
+        monkeypatch.setattr(np, "asarray", counted("asarray", np.asarray))
+        monkeypatch.setattr(np, "ndim", counted("ndim", np.ndim))
+        monkeypatch.setattr(pricer, "_quad_split", counting_quad_split)
+        price_ms(contract, MARKET)
+        assert counts == {"asarray": 0, "ndim": 0, "integrand": 168}

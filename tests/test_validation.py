@@ -72,6 +72,21 @@ class TestCorrectedVariant:
         _, _, errs = validate_point(FLOOR_POINT)
         assert set(errs) == {"I1_capfloor", "I2_capfloor", "I3_capfloor", "ms1_closed"}
 
+    def test_full_grid_errors_are_bit_exact(self):
+        # compared with ==: every bit of the quadrature oracle and the
+        # closed forms feeds these worst errors
+        report = run_validation()
+        assert report.passed
+        assert report.max_rel_err == {
+            "I1_cap": 2.484991378380443e-14,
+            "I2_cap": 4.590764374967599e-16,
+            "I3_cap": 2.981832724328305e-14,
+            "ms1_closed": 4.3834352950557364e-11,
+            "I1_capfloor": 1.2311504711237565e-13,
+            "I2_capfloor": 1.198047235125189e-13,
+            "I3_capfloor": 6.4163422721236125e-12,
+        }
+
 
 class TestPrintedVariant:
     def test_defective_formulas_fail_and_sound_ones_pass(self):
