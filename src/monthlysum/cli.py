@@ -33,7 +33,7 @@ import os
 import sys
 
 from .contracts import ContractSpec, MarketParams
-from .montecarlo import McConfig, simulate_ms, simulate_msln
+from .montecarlo import McConfig, _simulate_pair
 from .pricer import price_ms
 from .validation import (
     CORRECTED,
@@ -163,8 +163,7 @@ def cmd_price(ns: argparse.Namespace) -> int:
 def cmd_mc(ns: argparse.Namespace) -> int:
     contract, market = _inputs(vars(ns))
     cfg = McConfig(paths=ns.mc_paths, seed=ns.seed, antithetic=ns.antithetic)
-    ms = simulate_ms(contract, market, cfg, threads=ns.threads)
-    msln = simulate_msln(contract, market, cfg, threads=ns.threads)
+    ms, msln = _simulate_pair(contract, market, cfg, threads=ns.threads)
     record = {name: getattr(ns, name) for name in _FIELDS}
     record.update(
         paths=cfg.paths,
@@ -223,8 +222,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         breakdown = price_ms(row_contract, row_market, order=1)
         row = {"ms0": breakdown.ms0, "ms0_plus_ms1": breakdown.total}
         if cfg is not None:
-            ms = simulate_ms(row_contract, row_market, cfg)
-            msln = simulate_msln(row_contract, row_market, cfg)
+            ms, msln = _simulate_pair(row_contract, row_market, cfg)
             row.update(mc_mean=ms.mean, mc_stderr=ms.stderr, msln_mc_mean=msln.mean)
         return row
 

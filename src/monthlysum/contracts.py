@@ -9,6 +9,7 @@ to each return before summation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -50,8 +51,10 @@ class MarketParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.term <= 0.0:
             raise ValueError(f"term must be positive, got {self.term}")
-        if isinstance(self.periods, bool) or not isinstance(self.periods, int) or self.periods < 1:
-            raise ValueError(f"periods must be an integer >= 1, got {self.periods!r}")
+        periods = self.periods
+        if isinstance(periods, bool) or not isinstance(periods, numbers.Integral) or periods < 1:
+            raise ValueError(f"periods must be an integer >= 1, got {periods!r}")
+        object.__setattr__(self, "periods", int(periods))
 
     @property
     def dt(self) -> float:

@@ -15,7 +15,8 @@ least 1) and has no effect: each block is a run of small numpy calls that
 hold the GIL between them, so a thread pool only added overhead.
 
 With ``common_random_numbers`` both payoffs read the shared stream, making
-their difference a low-variance estimate of the capping-convention gap.
+their difference a low-variance estimate of the capping-convention gap;
+priced together, as the CLI prices them, they share one draw per block.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ class McConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer breaks the rng
         if self.paths < 2:
             raise ValueError(f"paths must be at least 2, got {self.paths!r}")
         if self.antithetic:
@@ -112,20 +114,18 @@ def _block_normals(
 def _capped_sums(
     contract: ContractSpec,
     market: MarketParams,
-    cfg: McConfig,
-    stream: int,
+    z: np.ndarray,
     log_returns: bool,
-    start: int,
-    stop: int,
+    in_place: bool,
 ) -> np.ndarray:
-    """Per-path sums of the capped (and floored) monthly returns of paths [start, stop).
+    """Per-path sums of the capped (and floored) monthly returns on the normals ``z``.
 
     Log returns bounded by ``log_cap``/``log_floor`` when ``log_returns``,
-    otherwise simple returns bounded by ``cap``/``floor``.
+    otherwise simple returns bounded by ``cap``/``floor``. ``z`` is
+    overwritten only when ``in_place``, so other payoffs can still read it.
     """
-    # x = drift + scale * z, in place on the fresh block of normals
-    x = _block_normals(cfg, market, stream, start, stop)
-    x *= market.sigma * math.sqrt(market.dt)
+    # x = drift + scale * z, elementwise in that order
+    x = np.multiply(z, market.sigma * math.sqrt(market.dt), out=z if in_place else None)
     x += market.mu * market.dt
     if log_returns:
         cap, floor = contract.log_cap, contract.log_floor
@@ -142,25 +142,35 @@ def _run(
     contract: ContractSpec,
     market: MarketParams,
     cfg: McConfig,
-    stream: int,
-    log_payoff: bool,
+    legs: tuple[tuple[int, bool], ...],
     threads: int,
-) -> McResult:
+) -> list[McResult]:
+    """Price each (private stream, log payoff) leg in one pass over the blocks.
+
+    Legs that read one stream must be adjacent: a block's normals are drawn
+    once for them all, and the last of them works on the block in place.
+    """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads!r}")
-    payoffs = np.empty(cfg.paths, dtype=np.float64)
+    streams = [_stream_for(private, cfg) for private, _ in legs]
+    payoffs = np.empty((len(legs), cfg.paths), dtype=np.float64)
     for start in range(0, cfg.paths, BLOCK):
         stop = min(start + BLOCK, cfg.paths)
-        sums = _capped_sums(contract, market, cfg, stream, log_payoff, start, stop)
-        if log_payoff:
-            np.expm1(sums, out=sums)
-        np.maximum(sums, 0.0, out=payoffs[start:stop])
+        for i, (stream, (_, log_payoff)) in enumerate(zip(streams, legs)):
+            if stream not in streams[:i]:
+                z = _block_normals(cfg, market, stream, start, stop)
+            sums = _capped_sums(contract, market, z, log_payoff, stream not in streams[i + 1 :])
+            if log_payoff:
+                np.expm1(sums, out=sums)
+            np.maximum(sums, 0.0, out=payoffs[i, start:stop])
 
-    samples = 0.5 * (payoffs[0::2] + payoffs[1::2]) if cfg.antithetic else payoffs
+    samples = 0.5 * (payoffs[:, 0::2] + payoffs[:, 1::2]) if cfg.antithetic else payoffs
     discount = math.exp(-market.rate * market.term)
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(samples.size))
-    return McResult(mean=discount * mean, stderr=discount * stderr, paths_used=cfg.paths)
+    root = math.sqrt(samples.shape[1])
+    return [
+        McResult(discount * float(row.mean()), discount * float(row.std(ddof=1) / root), cfg.paths)
+        for row in samples
+    ]
 
 
 def simulate_ms(
@@ -170,7 +180,7 @@ def simulate_ms(
 
     ``threads`` must be at least 1 and has no effect; blocks run serially.
     """
-    return _run(contract, market, cfg, _stream_for(STREAM_MS, cfg), False, threads)
+    return _run(contract, market, cfg, ((STREAM_MS, False),), threads)[0]
 
 
 def simulate_msln(
@@ -180,7 +190,18 @@ def simulate_msln(
 
     ``threads`` must be at least 1 and has no effect; blocks run serially.
     """
-    return _run(contract, market, cfg, _stream_for(STREAM_MSLN, cfg), True, threads)
+    return _run(contract, market, cfg, ((STREAM_MSLN, True),), threads)[0]
+
+
+def _simulate_pair(
+    contract: ContractSpec, market: MarketParams, cfg: McConfig, threads: int = 1
+) -> tuple[McResult, McResult]:
+    """``(simulate_ms(...), simulate_msln(...))``, bit for bit, from one pass.
+
+    With common random numbers each block is drawn once for both payoffs.
+    """
+    ms, msln = _run(contract, market, cfg, ((STREAM_MS, False), (STREAM_MSLN, True)), threads)
+    return ms, msln
 
 
 def empirical_cumulants(
@@ -205,7 +226,8 @@ def empirical_cumulants(
     stream = _stream_for(STREAM_MSLN, cfg)
     for start in range(0, cfg.paths, BLOCK):
         stop = min(start + BLOCK, cfg.paths)
-        sums[start:stop] = _capped_sums(contract, market, cfg, stream, True, start, stop)
+        z = _block_normals(cfg, market, stream, start, stop)
+        sums[start:stop] = _capped_sums(contract, market, z, True, in_place=True)
     # k-statistics from the power sums S_r, in the operation order of
     # SciPy's kstat so the values match it bit for bit
     size = sums.size

@@ -15,7 +15,18 @@ from checkout import SRC, checkout_env
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    probe = "import sys, monthlysum; print('scipy.stats' in sys.modules)"
+    # a cold `mc` needs no quadrature; `price` loads scipy.integrate at its first one
+    probe = (
+        "import sys, monthlysum\n"
+        "from monthlysum import cli\n"
+        "def loaded(): return [m in sys.modules for m in ('scipy.stats', 'scipy.integrate')]\n"
+        "states = [loaded()]\n"
+        "cli.main(['mc', '--mc-paths', '4096'])\n"
+        "states.append(loaded())\n"
+        "cli.main(['price'])\n"
+        "states.append(loaded())\n"
+        "print(states)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -24,7 +35,8 @@ def test_import_leaves_scipy_stats_unloaded():
         timeout=120,
         env=checkout_env(),
     )
-    assert out.stdout.strip() == "False"
+    states = out.stdout.strip().splitlines()[-1]
+    assert states == "[[False, False], [False, False], [False, True]]"
 
 
 def _imported_modules(path: Path) -> set[str]:

@@ -7,6 +7,8 @@ within 2 standard errors of that independent estimate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,25 @@ from monthlysum import (
     simulate_ms,
     simulate_msln,
 )
-from monthlysum.montecarlo import BLOCK
-from monthlysum.rng import STREAM_SHARED, path_normals
+from monthlysum import montecarlo
+from monthlysum.cli import main
+from monthlysum.montecarlo import BLOCK, _simulate_pair
+from monthlysum.rng import STREAM_MS, STREAM_MSLN, STREAM_SHARED, path_normals
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
 CAP_ONLY = ContractSpec(cap=0.025)
+
+
+def _count_path_normals(monkeypatch) -> list[int]:
+    """Route the engine's draws through a wrapper; returns the stream of each call."""
+    streams: list[int] = []
+
+    def counted(seed, first_path, n_paths, count, stream):
+        streams.append(stream)
+        return path_normals(seed, first_path, n_paths, count, stream)
+
+    monkeypatch.setattr(montecarlo, "path_normals", counted)
+    return streams
 
 
 class TestRegressionPoints:
@@ -106,14 +122,51 @@ class TestDeterminism:
 
 
 class TestCommonRandomNumbers:
-    def test_shared_stream_reuses_draws(self):
-        # with CRN both payoffs see identical normals, so with a huge cap and
-        # log payoff vs simple payoff removed, the estimates correlate; here
-        # just check the stream roles by comparing to explicit draws
-        cfg = McConfig(paths=64, seed=11, common_random_numbers=True)
-        res_shared_ms = simulate_ms(CAP_ONLY, MARKET, cfg)
-        res_shared_again = simulate_ms(CAP_ONLY, MARKET, cfg)
-        assert res_shared_ms == res_shared_again
+    @pytest.mark.parametrize(
+        "contract, market, paths, antithetic, crn",
+        (
+            (CAP_ONLY, MARKET, 10_000, False, True),
+            (CAP_ONLY, MARKET, 10_000, True, True),
+            (CAP_ONLY, MARKET, 10_000, False, False),
+            (CAP_ONLY, MARKET, 10_000, True, False),
+            (ContractSpec(cap=0.025, floor=-0.03), MARKET, 10_000, True, True),
+            (CAP_ONLY, MarketParams(0.03, 0.02, 0.2, 1.0, periods=13), 5_000, True, True),
+            (CAP_ONLY, MARKET, BLOCK + 37, False, True),
+        ),
+        ids=("crn", "crn-antithetic", "private", "private-antithetic", "floored",
+             "odd-periods", "partial-block"),
+    )
+    def test_pair_equals_separate_calls(self, contract, market, paths, antithetic, crn):
+        cfg = McConfig(paths=paths, seed=11, antithetic=antithetic, common_random_numbers=crn)
+        separate = (simulate_ms(contract, market, cfg), simulate_msln(contract, market, cfg))
+        assert _simulate_pair(contract, market, cfg) == separate
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        (
+            (("mc", "--mc-paths", "4096"), 1),
+            (("mc", "--mc-paths", str(BLOCK + 37)), 2),
+            (("mc", "--mc-paths", "4096", "--antithetic"), 1),
+            (("sweep", "--axis", "vol", "--from", "0.1", "--to", "0.25", "--step", "0.05",
+              "--mc-paths", "4096"), 4),
+        ),
+    )
+    def test_cli_draws_each_block_once(self, monkeypatch, capsys, argv, calls):
+        drawn = _count_path_normals(monkeypatch)
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        assert len(drawn) == calls
+
+    @pytest.mark.parametrize("paths", (4096, BLOCK + 37))
+    def test_private_streams_draw_per_payoff(self, monkeypatch, paths):
+        drawn = _count_path_normals(monkeypatch)
+        cfg = McConfig(paths=paths, seed=11, common_random_numbers=False)
+        _simulate_pair(CAP_ONLY, MARKET, cfg)
+        blocks = math.ceil(paths / BLOCK)
+        assert sorted(drawn) == [STREAM_MS] * blocks + [STREAM_MSLN] * blocks
+        drawn.clear()
+        simulate_msln(CAP_ONLY, MARKET, McConfig(paths=paths, seed=11))
+        assert drawn == [STREAM_SHARED] * blocks
 
     def test_private_streams_decorrelate(self):
         shared = McConfig(paths=10_000, seed=11, common_random_numbers=True)
@@ -234,6 +287,16 @@ class TestConfigGuards:
             McConfig(paths=5000, seed=True)
         # numpy integers stay accepted
         assert McConfig(paths=np.int64(5000), seed=np.uint64(2**63)).paths == 5000
+
+    def test_numpy_integers_price_like_ints(self):
+        cfg = McConfig(paths=np.int64(4096), seed=np.int64(7))
+        market = MarketParams(0.03, 0.02, 0.20, 1.0, np.int64(12))
+        assert type(cfg.paths) is type(cfg.seed) is type(market.periods) is int
+        twin = McConfig(paths=4096, seed=7)
+        assert simulate_ms(CAP_ONLY, market, cfg) == simulate_ms(CAP_ONLY, MARKET, twin)
+        assert simulate_msln(CAP_ONLY, MARKET, cfg) == simulate_msln(CAP_ONLY, MARKET, twin)
+        assert type(simulate_ms(CAP_ONLY, MARKET, cfg).paths_used) is int
+        assert price_ms(CAP_ONLY, market) == price_ms(CAP_ONLY, MARKET)
 
     def test_seed_range(self):
         with pytest.raises(ValueError, match="seed"):
