@@ -11,11 +11,13 @@ Conventions: rates, yields, vols, caps and floors are decimal fractions
 stable for fixed inputs and seed; JSON output carries full precision so a
 parsed record re-prices to identical values.
 
-Flags override an optional ``--config`` file of ``key = value`` lines,
-which overrides the built-in defaults. Keys are the long flag names
-without ``--``, and each value is checked as its flag's would be. Keys the
-running command lacks are ignored, so one file serves every command, and
-``none`` or an empty value keeps the default.
+An optional ``--config`` file of ``key = value`` lines is more flags: each
+line is the flag ``--key=value``, placed before the command line's own
+flags, so a flag beats the file and the file beats the built-in default.
+The keys are the commands' long flags without ``--`` (less ``--config``,
+``--printed-formulas`` and ``--help``). Keys the running command lacks are
+ignored, so one file serves every command, and ``none`` or an empty value
+keeps the default.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
 3 numerical failure.
@@ -52,13 +54,6 @@ _FIELDS = {"cap": "cap", "floor": "floor", "vol": "sigma", "rate": "rate",
 #: Record name -> the EdgeworthParams field it reports, in record order.
 _PARAMS = {"nu": "nu", "v": "v", "eps1": "epsilon1", "y_eff": "y_eff"}
 
-#: Keys a config file may set: the long flags, less --config and --printed-formulas.
-_CONFIG_KEYS = {
-    "cap", "floor", "vol", "rate", "div", "term", "months", "order", "format",
-    "out", "seed", "mc-paths", "antithetic", "threads", "axis", "from", "to",
-    "step", "tol", "discrepancy-log",
-}
-
 
 def _diag(message: str) -> None:
     """One-line diagnostic on stderr; colored only on a tty without NO_COLOR."""
@@ -87,7 +82,14 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _config_flags(path: str, command: str) -> list[str]:
+    """The config file's lines as ``--key=value`` flags for this command.
+
+    A later line for a key replaces an earlier one. Keys the command lacks
+    are skipped whole (``--to`` would abbreviate validate's ``--tol``), and
+    an empty or ``none`` value keeps the default. ``--key=value`` keeps a
+    value that starts with '-' a value.
+    """
     config: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -101,26 +103,12 @@ def _load_config(path: str) -> dict[str, str]:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"config: unknown key {key!r} on line {lineno}")
             config[key] = value.strip()
-    return config
-
-
-def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
-    """The config file's values for this command, each parsed as its flag is.
-
-    Keys the command lacks are skipped, so one file serves every command,
-    and an empty or ``none`` value keeps the built-in default.
-    """
-    known = vars(command.parse_args([]))
-    defaults = {}
-    for key, value in _load_config(path).items():
-        attr = key.replace("-", "_")
-        # a key the command lacks is never parsed: argparse would take it
-        # as a prefix of another flag (`to` would set --tol on validate)
-        if attr not in known or value.lower() in ("", "none"):
-            continue
-        # '--key=value' keeps a value that starts with '-' a value
-        defaults[attr] = getattr(command.parse_args([f"--{key}={value}"]), attr)
-    return defaults
+    options = _COMMANDS[command]._option_string_actions
+    return [
+        f"--{key}={value}"
+        for key, value in config.items()
+        if f"--{key}" in options and value.lower() not in ("", "none")
+    ]
 
 
 def _boolean(text: str) -> bool:
@@ -140,12 +128,15 @@ def _inputs(values: dict) -> tuple[ContractSpec, MarketParams]:
     return contract, MarketParams(**fields)
 
 
-def _record_text(record: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(record, indent=2) + "\n"
-    header = ",".join(record)
-    row = ",".join(_g12(v) for v in record.values())
-    return header + "\n" + row + "\n"
+def _write_records(records: dict | list[dict], ns: argparse.Namespace) -> None:
+    """A record or a list of them: JSON as given, CSV as a header of the first record's keys."""
+    if ns.format == "json":
+        text = json.dumps(records, indent=2) + "\n"
+    else:
+        rows = [records] if isinstance(records, dict) else records
+        lines = [",".join(rows[0])] + [",".join(_g12(v) for v in row.values()) for row in rows]
+        text = "\n".join(lines) + "\n"
+    _emit(text, ns.out)
 
 
 def cmd_price(ns: argparse.Namespace) -> int:
@@ -156,7 +147,7 @@ def cmd_price(ns: argparse.Namespace) -> int:
     # a nonpositive cap is priced without params: null in JSON, empty in CSV
     params = breakdown.params
     record.update({name: getattr(params, field, None) for name, field in _PARAMS.items()})
-    _emit(_record_text(record, ns.format), ns.out)
+    _write_records(record, ns)
     return 0
 
 
@@ -174,11 +165,16 @@ def cmd_mc(ns: argparse.Namespace) -> int:
         msln_mc_mean=msln.mean,
         msln_mc_stderr=msln.stderr,
     )
-    _emit(_record_text(record, ns.format), ns.out)
+    _write_records(record, ns)
     return 0
 
 
 def _axis_values(start: float, stop: float, step: float) -> list[float]:
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(
+            f"sweep --from, --to and --step must be finite, got from={start!r}, to={stop!r}, "
+            f"step={step!r}"
+        )
     if not start < stop:
         raise ValueError(f"sweep range must have from < to, got from={start!r}, to={stop!r}")
     if not step > 0.0:
@@ -230,19 +226,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         raise ValueError(f"threads must be at least 1, got {ns.threads!r}")
     rows = [price_row(pair) for pair in rows_in]
 
-    columns = ["axis", "axis_value", "ms0", "ms0_plus_ms1"]
-    if cfg is not None:
-        columns += ["mc_mean", "mc_stderr", "msln_mc_mean"]
     records = [
         {"axis": ns.axis, "axis_value": value, **row} for value, row in zip(values, rows)
     ]
-    if ns.format == "json":
-        text = json.dumps(records, indent=2) + "\n"
-    else:
-        lines = [",".join(columns)]
-        lines += [",".join(_g12(record[c]) for c in columns) for record in records]
-        text = "\n".join(lines) + "\n"
-    _emit(text, ns.out)
+    _write_records(records, ns)
     return 0
 
 
@@ -361,15 +348,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+#: Built once per process: nothing mutates it, so every main() call shares it.
+_PARSER, _COMMANDS = build_parser()
+
+#: Keys a config file may set: the commands' long flags, less the flag-only ones.
+_CONFIG_KEYS = {
+    opt[2:] for command in _COMMANDS.values() for opt in command._option_string_actions
+    if opt.startswith("--")
+} - {"config", "printed-formulas", "help"}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
         if ns.config is not None:
-            # config values become the command's defaults, so flags still win
-            command = commands[ns.command]
-            command.set_defaults(**_config_defaults(command, ns.config))
-            ns = parser.parse_args(argv)
+            # the file's flags go first, so the command line's own win
+            ns = _PARSER.parse_args([ns.command, *_config_flags(ns.config, ns.command), *argv[1:]])
         return ns.func(ns)
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         code = exc.code

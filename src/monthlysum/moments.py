@@ -247,14 +247,6 @@ def _partial_moments(m: float, s: float, u: float, cdf: float) -> tuple[float, f
     )
 
 
-def _printed_moment(n: int, market: MarketParams, contract: ContractSpec) -> float:
-    """Printed I_n, one order per call."""
-    from . import _printed  # imported late: _printed itself imports this module
-
-    fn = _printed.capped_moment if contract.floor is None else _printed.floored_moment
-    return fn(n, market, contract)
-
-
 def _closed_moments(
     market: MarketParams, contract: ContractSpec, variant: str
 ) -> tuple[float, float, float]:
@@ -267,7 +259,10 @@ def _closed_moments(
     round differently.
     """
     if _is_printed(variant):
-        return tuple(_printed_moment(n, market, contract) for n in (1, 2, 3))
+        from . import _printed  # imported late: _printed itself imports this module
+
+        printed = _printed.capped_moments if contract.floor is None else _printed.floored_moments
+        return printed(market, contract)
     m, s = _monthly_scale(market)
     geo = truncation_geometry(market, contract)
     c, cm = contract.log_cap, geo.cap_mass
@@ -282,12 +277,9 @@ def _closed_moments(
 
 
 def _closed_moment(n: int, market: MarketParams, contract: ContractSpec, variant: str) -> float:
-    """Closed-form I_n; the printed variant evaluates that order alone."""
-    printed = _is_printed(variant)
+    """Closed-form I_n: one order of the whole set."""
     if n not in (1, 2, 3):
         raise ValueError(f"moment order must be 1, 2 or 3, got {n!r}")
-    if printed:
-        return _printed_moment(n, market, contract)
     return _closed_moments(market, contract, variant)[n - 1]
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .contracts import ContractSpec, MarketParams
 from .edgeworth import CumulantSet
-from .rng import STREAM_MS, STREAM_MSLN, STREAM_SHARED, path_normals
+from .rng import STREAM_MS, STREAM_MSLN, STREAM_SHARED, _draw_normals, _scratch_array
 
 __all__ = [
     "BLOCK",
@@ -96,16 +96,29 @@ def _stream_for(private: int, cfg: McConfig) -> int:
     return STREAM_SHARED if cfg.common_random_numbers else private
 
 
+def _draw(cfg: McConfig, stream: int, first_path: int, n_paths: int, count: int) -> np.ndarray:
+    """``rng.path_normals(cfg.seed, first_path, n_paths, count, stream)`` in scratch memory."""
+    words = _scratch_array("words", (n_paths, count + count % 2), np.uint64)
+    if count % 2:
+        out = _scratch_array("normals", (n_paths, count), np.float64)
+    else:  # an even count's normals overwrite their own words
+        out = words.view(np.float64)
+    return _draw_normals(words, out, cfg.seed, first_path, count, stream)
+
+
 def _block_normals(
     cfg: McConfig, market: MarketParams, stream: int, start: int, stop: int
 ) -> np.ndarray:
-    """Monthly normals for paths [start, stop), honoring antithetic pairing."""
+    """Monthly normals for paths [start, stop), honoring antithetic pairing.
+
+    They live in the thread's scratch until its next block is drawn.
+    """
     count = market.periods
     if not cfg.antithetic:
-        return path_normals(cfg.seed, start, stop - start, count, stream)
+        return _draw(cfg, stream, start, stop - start, count)
     # pair k occupies paths 2k and 2k+1; the odd path mirrors the even one
-    base = path_normals(cfg.seed, start // 2, (stop - start) // 2, count, stream)
-    z = np.empty((stop - start, count))
+    base = _draw(cfg, stream, start // 2, (stop - start) // 2, count)
+    z = _scratch_array("pairs", (stop - start, count), np.float64)
     z[0::2] = base
     np.negative(base, out=z[1::2])
     return z
@@ -125,7 +138,8 @@ def _capped_sums(
     overwritten only when ``in_place``, so other payoffs can still read it.
     """
     # x = drift + scale * z, elementwise in that order
-    x = np.multiply(z, market.sigma * math.sqrt(market.dt), out=z if in_place else None)
+    out = z if in_place else _scratch_array("returns", z.shape, np.float64)
+    x = np.multiply(z, market.sigma * math.sqrt(market.dt), out=out)
     x += market.mu * market.dt
     if log_returns:
         cap, floor = contract.log_cap, contract.log_floor

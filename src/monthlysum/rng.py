@@ -17,8 +17,9 @@ product, whose halves are ``>> 32`` and ``& 0xFFFFFFFF``, with no casts.
 One pass of the rounds covers a tile of :data:`_TILE` lanes taken in order
 from the (path, block) grid of the request, path-major, so a short path
 shares its pass with its neighbours and a request of n paths of b blocks
-makes ceil(n * b / _TILE) passes. Every step works in place on
-preallocated buffers, and the finished words go straight into the output.
+makes ceil(n * b / _TILE) passes. Every step works in place on the
+calling thread's scratch lane buffers, and the finished words go straight
+into the output.
 
 Uniforms are built from 52 of the 64 bits as ((bits >> 12) + 0.5) * 2^-52,
 every value exactly representable and strictly inside (0, 1), so the
@@ -26,6 +27,8 @@ inverse-CDF transform never produces an infinity.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -48,6 +51,12 @@ _ROUNDS = 10
 #: Counter blocks (lanes) per pass of the rounds. It bounds the six lane
 #: buffers of a pass to 6 * 8 * _TILE bytes; the draws do not depend on it.
 _TILE = 12288
+
+#: Lane offsets within a tile, shared read-only by every pass.
+_LANE_INDEX = np.arange(_TILE, dtype=np.uint64)
+
+#: Each thread's work arrays by role (see _scratch_array).
+_scratch = threading.local()
 
 #: Stream ids: one shared stream for common-random-number comparisons, and
 #: a private stream per payoff for independent runs.
@@ -101,6 +110,21 @@ def _to_unit_interval(bits: np.ndarray) -> np.ndarray:
     return u
 
 
+def _scratch_array(role: str, shape: tuple[int, int], dtype: type) -> np.ndarray:
+    """The calling thread's array for ``role``, viewed at this shape.
+
+    The memory is kept between calls and only ever grows. Block-sized
+    arrays freed after every call made the next call page-fault in some
+    processes and not in others, depending on the heap's history.
+    """
+    size = shape[0] * shape[1] * np.dtype(dtype).itemsize
+    memory = getattr(_scratch, role, None)
+    if memory is None or memory.size < size:
+        memory = np.empty(size, dtype=np.uint8)
+        setattr(_scratch, role, memory)
+    return memory[:size].view(dtype).reshape(shape)
+
+
 def path_normals(seed: int, first_path: int, n_paths: int, count: int, stream: int) -> np.ndarray:
     """Standard normal variates for a contiguous range of paths.
 
@@ -130,30 +154,43 @@ def path_normals(seed: int, first_path: int, n_paths: int, count: int, stream: i
         )
     if not 0 <= stream < 2**32:
         raise ValueError(f"stream must be in [0, 2^32), got {stream!r}")
+    words = np.empty((n_paths, count + count % 2), dtype=np.uint64)
+    # an even count's normals overwrite their own words
+    out = None if count % 2 else words.view(np.float64)
+    return _draw_normals(words, out, seed, first_path, count, stream)
 
-    blocks = (count + 1) // 2
+
+def _draw_normals(
+    words: np.ndarray, out: np.ndarray | None, seed: int, first_path: int, count: int, stream: int
+) -> np.ndarray:
+    """:func:`path_normals` on checked arguments, into the caller's memory.
+
+    The raw draws fill ``words``, a C-contiguous uint64 (n_paths,
+    2 * ceil(count / 2)) array; the normals go to ``out`` (which may be
+    ``words``' float64 view when ``count`` is even, or None for a new
+    array) and are returned.
+    """
+    n_paths, width = words.shape
+    blocks = width // 2
     lanes = n_paths * blocks
     # two words per block, written in column order: row p is path p's draws
-    words = np.empty((n_paths, 2 * blocks), dtype=np.uint64)
     flat = words.reshape(lanes, 2)
-    buffers = np.empty((6, min(_TILE, lanes)), dtype=np.uint64)
+    buffers = _scratch_array("lanes", (6, _TILE), np.uint64)
     for lo in range(0, lanes, _TILE):
         n = min(_TILE, lanes - lo)
         c0, c1, c2, c3, p0, p1 = buffers[:, :n]
         # lane lo + i holds block (lo + i) % blocks of path (lo + i) // blocks
-        np.divmod(np.arange(lo, lo + n, dtype=np.uint64), np.uint64(blocks), out=(p0, c0))
+        np.add(_LANE_INDEX[:n], np.uint64(lo), out=p1)
+        np.divmod(p1, np.uint64(blocks), out=(p0, c0))
         p0 += np.uint64(first_path)
         np.bitwise_and(p0, _MASK32, out=c1)
         np.right_shift(p0, 32, out=c2)
         c3.fill(stream)
         _rounds(c0, c1, c2, c3, p0, p1, seed, seed >> 32)
-        out = flat[lo : lo + n]
-        np.left_shift(c0, 32, out=out[:, 0])
-        out[:, 0] |= c1
-        np.left_shift(c2, 32, out=out[:, 1])
-        out[:, 1] |= c3
-        _to_unit_interval(out)
-    uniforms = words.view(np.float64)
-    if count % 2:
-        return ndtri(uniforms[:, :count])
-    return ndtri(uniforms, out=uniforms)
+        tile = flat[lo : lo + n]
+        np.left_shift(c0, 32, out=tile[:, 0])
+        tile[:, 0] |= c1
+        np.left_shift(c2, 32, out=tile[:, 1])
+        tile[:, 1] |= c3
+        _to_unit_interval(tile)
+    return ndtri(words.view(np.float64)[:, :count], out=out)

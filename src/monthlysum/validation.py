@@ -20,6 +20,7 @@ as JSON lines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -223,10 +224,13 @@ def run_validation(
     """Sweep the grid and aggregate the results.
 
     ``tol`` overrides both per-check tolerances at once (the CLI's
-    ``--tol``). Discrepancy records are collected exactly when the printed
+    ``--tol``) and must be positive and finite: a NaN would pass every
+    check. Discrepancy records are collected exactly when the printed
     variant is under test.
     """
     printed = _is_printed(variant)
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if grid is None:
         grid = default_grid()
     moment_tol = MOMENT_REL_TOL if tol is None else tol

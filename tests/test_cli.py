@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import subprocess
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from monthlysum import ContractSpec, MarketParams, price_ms
+from monthlysum import ContractSpec, MarketParams, cli, price_ms
 from monthlysum.cli import main
 from monthlysum.errors import QuadratureConvergenceError
 
@@ -235,6 +236,25 @@ class TestSweep:
         assert code == 2
         assert "integer" in err
 
+    @pytest.mark.parametrize(
+        "start,stop,step",
+        [
+            ("0.1", "inf", "0.1"),
+            ("-inf", "0.1", "0.1"),
+            ("0.1", "0.3", "inf"),
+            ("nan", "0.3", "0.1"),
+            ("0.1", "nan", "0.1"),
+            ("0.1", "0.3", "nan"),
+        ],
+    )
+    def test_non_finite_bound_is_bad_input(self, capsys, start, stop, step):
+        # an infinite bound would overflow the row count into a "numerical failure"
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "vol", f"--from={start}", f"--to={stop}", f"--step={step}"
+        )
+        assert (code, out) == (2, "")
+        assert "must be finite" in err
+
 
 #: Each command's other options, with the key under test taken out.
 CONFIG_BASE = {
@@ -310,7 +330,7 @@ class TestConfigFile:
             _, default_out, _ = run_cli(capsys, command, *base)
             assert results[0] != (default_out, None)
 
-    @pytest.mark.parametrize("key", ["config", "printed-formulas"])
+    @pytest.mark.parametrize("key", ["config", "printed-formulas", "help"])
     def test_flag_only_keys_are_unknown(self, capsys, tmp_path, key):
         cfg = tmp_path / "ms.conf"
         cfg.write_text(f"{key} = true\n")
@@ -373,6 +393,38 @@ class TestConfigFile:
         assert rec["vol"] == 0.2
         assert rec["antithetic"] is False
         assert rec["seed"] == 42
+
+    def test_config_keys_are_the_long_flags(self):
+        assert cli._CONFIG_KEYS == {
+            "cap", "floor", "vol", "rate", "div", "term", "months", "order", "format",
+            "out", "seed", "mc-paths", "antithetic", "threads", "axis", "from", "to",
+            "step", "tol", "discrepancy-log",
+        }
+
+    def test_config_does_not_leak_into_the_next_call(self, capsys, tmp_path):
+        # every main() call shares one parser; a config run must leave it as built
+        cfg = tmp_path / "ms.conf"
+        cfg.write_text("vol = 0.30\nrate = 0.05\nformat = csv\n")
+        code, out, _ = run_cli(capsys, "price", "--config", str(cfg))
+        assert code == 0
+        assert out != PRICE_STDOUT
+        assert run_cli(capsys, "price") == (0, PRICE_STDOUT, "")
+
+    def test_main_builds_no_parser(self, capsys, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cfg = tmp_path / "ms.conf"
+        cfg.write_text("vol = 0.30\nmc-paths = 2000\n")
+        for argv in (["price"], ["price", "--config", str(cfg)], ["mc", "--config", str(cfg)]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+        assert built == []
 
     def test_boolean_and_none_values(self, capsys, tmp_path):
         cfg = tmp_path / "ms.conf"
@@ -504,3 +556,10 @@ class TestValidateCommand:
         code, out, _ = run_cli(capsys, "validate", "--printed-formulas", "--tol", "1e4")
         assert code == 0
         assert "result: PASS" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        # err > nan is never true, so a NaN tolerance would pass every check
+        code, out, err = run_cli(capsys, "validate", "--printed-formulas", f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert "tol must be positive and finite" in err

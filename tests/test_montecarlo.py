@@ -8,6 +8,7 @@ within 2 standard errors of that independent estimate.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -35,12 +36,13 @@ CAP_ONLY = ContractSpec(cap=0.025)
 def _count_path_normals(monkeypatch) -> list[int]:
     """Route the engine's draws through a wrapper; returns the stream of each call."""
     streams: list[int] = []
+    draw = montecarlo._draw_normals
 
-    def counted(seed, first_path, n_paths, count, stream):
+    def counted(words, out, seed, first_path, count, stream):
         streams.append(stream)
-        return path_normals(seed, first_path, n_paths, count, stream)
+        return draw(words, out, seed, first_path, count, stream)
 
-    monkeypatch.setattr(montecarlo, "path_normals", counted)
+    monkeypatch.setattr(montecarlo, "_draw_normals", counted)
     return streams
 
 
@@ -215,6 +217,28 @@ class TestAntithetic:
             McConfig(paths=101, antithetic=True)
         with pytest.raises(ValueError, match="at least 4"):
             McConfig(paths=2, antithetic=True)
+
+
+class TestScratch:
+    @pytest.mark.parametrize("periods, antithetic", ((12, False), (13, False), (12, True)))
+    def test_blocks_reuse_the_thread_scratch(self, periods, antithetic):
+        market = MarketParams(
+            rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=periods
+        )
+        cfg = McConfig(paths=2 * BLOCK, seed=5, antithetic=antithetic)
+        first = montecarlo._block_normals(cfg, market, STREAM_SHARED, 0, BLOCK)
+        second = montecarlo._block_normals(cfg, market, STREAM_SHARED, BLOCK, 2 * BLOCK)
+        assert np.shares_memory(first, second)
+        if not antithetic:
+            fresh = path_normals(5, BLOCK, BLOCK, periods, STREAM_SHARED)
+            assert np.array_equal(second.view(np.uint64), fresh.view(np.uint64))
+
+    def test_threads_price_as_if_alone(self):
+        cfgs = [McConfig(paths=3 * BLOCK + 10, seed=seed) for seed in range(6)]
+        alone = [simulate_ms(CAP_ONLY, MARKET, cfg) for cfg in cfgs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            together = list(pool.map(lambda cfg: simulate_ms(CAP_ONLY, MARKET, cfg), cfgs))
+        assert together == alone
 
 
 class TestAgainstIndependentTruth:

@@ -150,3 +150,9 @@ class TestArguments:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             run_validation(SUBGRID, variant="latest")
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # a NaN tolerance would pass every check (err > nan is never true)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            run_validation((CAP_POINT,), variant=PRINTED, tol=tol)
