@@ -32,10 +32,11 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .contracts import ContractSpec, MarketParams
-from .montecarlo import McConfig, _simulate_pair
+from .montecarlo import McConfig, _simulate_pair, _simulate_pairs
 from .pricer import price_ms
 from .validation import (
     CORRECTED,
@@ -213,22 +214,17 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     # before any pricing work starts
     rows_in = [_row_inputs(ns, v) for v in values]
 
-    def price_row(pair: tuple[ContractSpec, MarketParams]) -> dict:
-        row_contract, row_market = pair
-        breakdown = price_ms(row_contract, row_market, order=1)
-        row = {"ms0": breakdown.ms0, "ms0_plus_ms1": breakdown.total}
-        if cfg is not None:
-            ms, msln = _simulate_pair(row_contract, row_market, cfg)
-            row.update(mc_mean=ms.mean, mc_stderr=ms.stderr, msln_mc_mean=msln.mean)
-        return row
-
     if ns.threads < 1:
         raise ValueError(f"threads must be at least 1, got {ns.threads!r}")
-    rows = [price_row(pair) for pair in rows_in]
-
-    records = [
-        {"axis": ns.axis, "axis_value": value, **row} for value, row in zip(values, rows)
-    ]
+    records = []
+    for value, (row_contract, row_market) in zip(values, rows_in):
+        breakdown = price_ms(row_contract, row_market, order=1)
+        records.append({"axis": ns.axis, "axis_value": value, "ms0": breakdown.ms0,
+                        "ms0_plus_ms1": breakdown.total})
+    if cfg is not None:
+        # the rows share passes over the blocks, each block drawn once per pass
+        for record, (ms, msln) in zip(records, _simulate_pairs(rows_in, cfg)):
+            record.update(mc_mean=ms.mean, mc_stderr=ms.stderr, msln_mc_mean=msln.mean)
     _write_records(records, ns)
     return 0
 
@@ -303,9 +299,23 @@ def _add_mc_flags(parser: argparse.ArgumentParser, paths: int | None, paths_help
         help="accepted for compatibility; has no effect (default %(default)s)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads ``-1e-3``, like ``-0.001``, as a value.
+
+    argparse takes only ``-<digits>[.<digits>]`` for a negative number and
+    reads any other argument starting with '-' as a flag, so
+    ``--floor -1e-3`` would lack its value. The subcommand parsers are of
+    this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and the subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monthlysum",
         description="Capped monthly-return contract valuation: closed form, Monte Carlo, "
         "parameter sweeps and formula validation.",

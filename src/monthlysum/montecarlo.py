@@ -17,6 +17,14 @@ hold the GIL between them, so a thread pool only added overhead.
 With ``common_random_numbers`` both payoffs read the shared stream, making
 their difference a low-variance estimate of the capping-convention gap;
 priced together, as the CLI prices them, they share one draw per block.
+
+The rows of a ``sweep`` share the draws too: their normals do not depend
+on sigma, cap, floor, rate or dividend, and a path's first n normals are
+the same whatever count is drawn. One pass over the blocks draws each
+block once per stream, at the widest period count, and every row reads
+its leading columns. A pass keeps rows x payoffs x paths values alive, so
+rows share a pass only as far as :data:`_PASS_VALUES` (32 MiB) allows;
+the rest take further passes, with the same results.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +53,11 @@ __all__ = [
 #: draws themselves do not depend on it. Even, so antithetic pairs never
 #: straddle a block boundary.
 BLOCK = 4096
+
+#: Payoff values one pass over the blocks may hold (2^22 doubles, 32 MiB):
+#: rows x legs x paths. Rows beyond it take further passes, each drawing
+#: the blocks again; at 4096 paths and two legs, 512 rows share a pass.
+_PASS_VALUES = 2**22
 
 
 @dataclass(frozen=True)
@@ -153,38 +167,63 @@ def _capped_sums(
 
 
 def _run(
-    contract: ContractSpec,
-    market: MarketParams,
+    rows: Sequence[tuple[ContractSpec, MarketParams]],
     cfg: McConfig,
     legs: tuple[tuple[int, bool], ...],
     threads: int,
-) -> list[McResult]:
-    """Price each (private stream, log payoff) leg in one pass over the blocks.
+) -> list[tuple[McResult, ...]]:
+    """Price each (private stream, log payoff) leg of every (contract, market) row.
 
-    Legs that read one stream must be adjacent: a block's normals are drawn
-    once for them all, and the last of them works on the block in place.
+    Returns one tuple of results per row, in leg order. Rows share passes
+    over the blocks, as many to a pass as keep its payoffs within
+    :data:`_PASS_VALUES`.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads!r}")
+    per_pass = max(1, _PASS_VALUES // (len(legs) * cfg.paths))
+    results: list[tuple[McResult, ...]] = []
+    for lo in range(0, len(rows), per_pass):
+        results.extend(_pass(rows[lo : lo + per_pass], cfg, legs))
+    return results
+
+
+def _pass(
+    rows: Sequence[tuple[ContractSpec, MarketParams]],
+    cfg: McConfig,
+    legs: tuple[tuple[int, bool], ...],
+) -> list[tuple[McResult, ...]]:
+    """Price every leg of every row in one pass over the blocks.
+
+    A block's normals are drawn once per distinct stream, at the widest
+    period count among the rows, and each row reads its leading
+    ``periods`` columns: a path's normals do not depend on how many are
+    drawn. Legs that read one stream must be adjacent, and the last row of
+    the last of them works on the block in place.
+    """
     streams = [_stream_for(private, cfg) for private, _ in legs]
-    payoffs = np.empty((len(legs), cfg.paths), dtype=np.float64)
+    widest = max((market for _, market in rows), key=lambda market: market.periods)
+    payoffs = np.empty((len(rows), len(legs), cfg.paths), dtype=np.float64)
     for start in range(0, cfg.paths, BLOCK):
         stop = min(start + BLOCK, cfg.paths)
         for i, (stream, (_, log_payoff)) in enumerate(zip(streams, legs)):
             if stream not in streams[:i]:
-                z = _block_normals(cfg, market, stream, start, stop)
-            sums = _capped_sums(contract, market, z, log_payoff, stream not in streams[i + 1 :])
-            if log_payoff:
-                np.expm1(sums, out=sums)
-            np.maximum(sums, 0.0, out=payoffs[i, start:stop])
+                z = _block_normals(cfg, widest, stream, start, stop)
+            last_leg = stream not in streams[i + 1 :]
+            for r, (contract, market) in enumerate(rows):
+                in_place = last_leg and r == len(rows) - 1
+                sums = _capped_sums(contract, market, z[:, : market.periods], log_payoff, in_place)
+                if log_payoff:
+                    np.expm1(sums, out=sums)
+                np.maximum(sums, 0.0, out=payoffs[r, i, start:stop])
 
-    samples = 0.5 * (payoffs[:, 0::2] + payoffs[:, 1::2]) if cfg.antithetic else payoffs
-    discount = math.exp(-market.rate * market.term)
-    root = math.sqrt(samples.shape[1])
-    return [
-        McResult(discount * float(row.mean()), discount * float(row.std(ddof=1) / root), cfg.paths)
-        for row in samples
-    ]
+    samples = 0.5 * (payoffs[..., 0::2] + payoffs[..., 1::2]) if cfg.antithetic else payoffs
+    root = math.sqrt(samples.shape[-1])
+    results = []
+    for (_, market), row in zip(rows, samples):
+        discount = math.exp(-market.rate * market.term)
+        stats = [(float(leg.mean()), float(leg.std(ddof=1) / root)) for leg in row]
+        results.append(tuple(McResult(discount * m, discount * s, cfg.paths) for m, s in stats))
+    return results
 
 
 def simulate_ms(
@@ -194,7 +233,7 @@ def simulate_ms(
 
     ``threads`` must be at least 1 and has no effect; blocks run serially.
     """
-    return _run(contract, market, cfg, ((STREAM_MS, False),), threads)[0]
+    return _run(((contract, market),), cfg, ((STREAM_MS, False),), threads)[0][0]
 
 
 def simulate_msln(
@@ -204,7 +243,11 @@ def simulate_msln(
 
     ``threads`` must be at least 1 and has no effect; blocks run serially.
     """
-    return _run(contract, market, cfg, ((STREAM_MSLN, True),), threads)[0]
+    return _run(((contract, market),), cfg, ((STREAM_MSLN, True),), threads)[0][0]
+
+
+#: The legs of ``mc`` and ``sweep``: the contract, then the lognormal proxy.
+_PAIR = ((STREAM_MS, False), (STREAM_MSLN, True))
 
 
 def _simulate_pair(
@@ -214,8 +257,18 @@ def _simulate_pair(
 
     With common random numbers each block is drawn once for both payoffs.
     """
-    ms, msln = _run(contract, market, cfg, ((STREAM_MS, False), (STREAM_MSLN, True)), threads)
-    return ms, msln
+    return _run(((contract, market),), cfg, _PAIR, threads)[0]
+
+
+def _simulate_pairs(
+    rows: Sequence[tuple[ContractSpec, MarketParams]], cfg: McConfig, threads: int = 1
+) -> list[tuple[McResult, McResult]]:
+    """``_simulate_pair`` of each (contract, market) row, bit for bit.
+
+    With common random numbers each block is drawn once for every row of a
+    pass and both payoffs.
+    """
+    return _run(rows, cfg, _PAIR, threads)
 
 
 def empirical_cumulants(

@@ -26,14 +26,14 @@ import numpy as np
 
 from ._printed import correction_exponent
 from .contracts import ContractSpec, MarketParams
-from .edgeworth import EdgeworthParams, aggregate, cumulants_from_moments, hermite_h3
+from .edgeworth import EdgeworthParams, aggregate, cumulants_from_moments
 from .moments import (
+    _INV_SQRT_2PI,
     CORRECTED,
     _is_printed,
     _quad_split,
     closed_form_moments,
     standard_normal_cdf,
-    standard_normal_pdf,
 )
 
 __all__ = [
@@ -112,7 +112,12 @@ def ms_correction_quadrature(ep: EdgeworthParams, market: MarketParams) -> float
     hi = max(z0, b) + 16.0
 
     def integrand(z: float) -> float:
-        return (math.exp(a + b * z) - 1.0) * hermite_h3(z) * standard_normal_pdf(z)
+        # (exp(a + b z) - 1) * hermite_h3(z) * standard_normal_pdf(z), inlined
+        # in their operation order (np.exp as there: math.exp can differ in
+        # the last bit)
+        return (math.exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * float(
+            _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+        )
 
     root3 = math.sqrt(3.0)
     j = _quad_split(integrand, z0, hi, (-root3, 0.0, root3))

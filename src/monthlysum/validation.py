@@ -159,6 +159,12 @@ def _rel(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), REL_DENOM_FLOOR)
 
 
+def _check_tol(name: str, tol: float) -> None:
+    # err > nan is never true, so a NaN tolerance would pass every check
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+
+
 def validate_point(
     point: GridPoint,
     variant: str = CORRECTED,
@@ -170,8 +176,11 @@ def validate_point(
 
     Returns (failures, discrepancies, max relative error per formula id).
     The checked value is the ``variant`` closed form against quadrature;
-    discrepancy records always compare printed against corrected.
+    discrepancy records always compare printed against corrected. Both
+    tolerances must be positive and finite.
     """
+    _check_tol("moment_tol", moment_tol)
+    _check_tol("correction_tol", correction_tol)
     market = point.market()
     contract = point.contract()
     suffix = "cap" if contract.floor is None else "capfloor"
@@ -229,8 +238,8 @@ def run_validation(
     variant is under test.
     """
     printed = _is_printed(variant)
-    if tol is not None and not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if tol is not None:
+        _check_tol("tol", tol)
     if grid is None:
         grid = default_grid()
     moment_tol = MOMENT_REL_TOL if tol is None else tol

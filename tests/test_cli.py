@@ -113,6 +113,13 @@ class TestPrice:
         got = run_cli(capsys, "price", "--floor", "-0.05", "--format", "csv")
         assert got == (0, PRICE_FLOOR_CSV_STDOUT, "")
 
+    def test_negative_exponent_is_a_value(self, capsys):
+        # argparse alone reads "-1e-3" as a flag, leaving --floor without a value
+        expected = run_cli(capsys, "price", "--floor", "-0.001")
+        assert expected[0] == 0
+        assert run_cli(capsys, "price", "--floor", "-1e-3") == expected
+        assert run_cli(capsys, "price", "--floor=-1e-3") == expected
+
     def test_nonpositive_cap_prices_to_zero_json(self, capsys):
         code, out, _ = run_cli(capsys, "price", "--cap", "-0.5")
         assert code == 0
@@ -228,6 +235,18 @@ class TestSweep:
         )
         assert code == 2
         assert "from < to" in err
+
+    def test_negative_exponent_bounds(self, capsys):
+        decimal = run_cli(
+            capsys, "sweep", "--axis", "floor", "--from", "-0.1", "--to", "-0.05", "--step",
+            "0.025",
+        )
+        assert decimal[0] == 0
+        exponent = run_cli(
+            capsys, "sweep", "--axis", "floor", "--from", "-1e-1", "--to", "-5e-2", "--step",
+            "2.5e-2",
+        )
+        assert exponent == decimal
 
     def test_non_integer_months_is_bad_input(self, capsys):
         code, _, err = run_cli(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from monthlysum import (
 )
 from monthlysum import montecarlo
 from monthlysum.cli import main
-from monthlysum.montecarlo import BLOCK, _simulate_pair
+from monthlysum.montecarlo import _PAIR, BLOCK, _run, _simulate_pair
 from monthlysum.rng import STREAM_MS, STREAM_MSLN, STREAM_SHARED, path_normals
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
@@ -150,7 +151,9 @@ class TestCommonRandomNumbers:
             (("mc", "--mc-paths", str(BLOCK + 37)), 2),
             (("mc", "--mc-paths", "4096", "--antithetic"), 1),
             (("sweep", "--axis", "vol", "--from", "0.1", "--to", "0.25", "--step", "0.05",
-              "--mc-paths", "4096"), 4),
+              "--mc-paths", "4096"), 1),
+            (("sweep", "--axis", "months", "--from", "12", "--to", "15", "--step", "1",
+              "--mc-paths", "4096"), 1),
         ),
     )
     def test_cli_draws_each_block_once(self, monkeypatch, capsys, argv, calls):
@@ -185,6 +188,53 @@ class TestCommonRandomNumbers:
         # at these settings the true gap is ~3e-4 while private-stream noise
         # is ~1e-4 per leg, so this ordering is stable though not certain
         assert gap_shared < gap_private + 5e-4
+
+
+#: Sweep rows along each axis; the months rows mix odd and even period counts.
+SWEEP_ROWS = {
+    "vol": [(CAP_ONLY, replace(MARKET, sigma=sigma)) for sigma in (0.05, 0.2, 0.45, 1.0)],
+    "cap": [(ContractSpec(cap=cap), MARKET) for cap in (0.0, 0.01, 0.025, 0.1)],
+    "floor": [
+        (ContractSpec(cap=0.025, floor=floor), MARKET) for floor in (None, -0.05, -0.02, 0.0)
+    ],
+    "months": [
+        (CAP_ONLY, replace(MARKET, periods=periods, term=periods / 12))
+        for periods in (13, 1, 12, 7, 24, 61, 2)
+    ],
+}
+
+
+class TestSharedPasses:
+    """Rows priced in one pass equal rows priced alone, bit for bit."""
+
+    @pytest.mark.parametrize("axis", sorted(SWEEP_ROWS))
+    @pytest.mark.parametrize(
+        "paths, antithetic, crn",
+        ((4096, False, True), (4096, True, True), (BLOCK + 37, False, True),
+         (BLOCK + 38, True, False)),
+        ids=("plain", "antithetic", "partial-block", "private-antithetic"),
+    )
+    def test_rows_equal_separate_pairs(self, monkeypatch, axis, paths, antithetic, crn):
+        rows = SWEEP_ROWS[axis]
+        cfg = McConfig(paths=paths, seed=19, antithetic=antithetic, common_random_numbers=crn)
+        alone = [_simulate_pair(contract, market, cfg) for contract, market in rows]
+        drawn = _count_path_normals(monkeypatch)
+        assert _run(rows, cfg, _PAIR, 1) == alone
+        # each block is drawn once per stream: once, or once per payoff
+        assert len(drawn) == math.ceil(paths / BLOCK) * (1 if crn else 2)
+
+    def test_rows_beyond_the_pass_bound_take_more_passes(self, monkeypatch, capsys):
+        paths = BLOCK + 37
+        argv = ["sweep", "--axis", "vol", "--from", "0.1", "--to", "0.3", "--step", "0.05",
+                "--mc-paths", str(paths)]
+        assert main(argv) == 0
+        one_pass = capsys.readouterr().out
+        # two rows of two payoffs fit, so the five rows take three passes
+        monkeypatch.setattr(montecarlo, "_PASS_VALUES", 2 * 2 * paths + 1)
+        drawn = _count_path_normals(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == one_pass
+        assert len(drawn) == 3 * math.ceil(paths / BLOCK)
 
 
 class TestAntithetic:

@@ -156,3 +156,6 @@ class TestArguments:
         # a NaN tolerance would pass every check (err > nan is never true)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             run_validation((CAP_POINT,), variant=PRINTED, tol=tol)
+        for name in ("moment_tol", "correction_tol"):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                validate_point(FLOOR_POINT, PRINTED, **{name: tol})
