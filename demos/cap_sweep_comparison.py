@@ -19,7 +19,7 @@ a bias of that size, not a Monte Carlo artifact.
 from monthlysum import ContractSpec, MarketParams, McConfig, simulate_ms, simulate_msln
 
 market = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
-cfg = McConfig(paths=1_000_000, seed=42, common_random_numbers=True)
+cfg = McConfig(paths=1_000_000, seed=42)
 
 print(f"{'cap':>6} {'simple-return MC':>17} {'log-return MC':>14} {'rel gap':>9}")
 for cap in (0.005, 0.01, 0.02, 0.025, 0.03, 0.05, 0.075, 0.10):

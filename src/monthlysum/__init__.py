@@ -21,7 +21,6 @@ from .edgeworth import (
     EdgeworthParams,
     aggregate,
     cumulants_from_moments,
-    hermite_h3,
 )
 from .errors import (
     DegenerateVolatilityError,
@@ -30,13 +29,11 @@ from .errors import (
 )
 from .moments import (
     MomentSet,
-    TruncationGeometry,
     capped_floored_moment_closed,
     capped_moment_closed,
     closed_form_moments,
     moment_quadrature,
     quadrature_moments,
-    truncation_geometry,
 )
 from .montecarlo import McConfig, McResult, empirical_cumulants, simulate_ms, simulate_msln
 from .pricer import (
@@ -72,7 +69,6 @@ __all__ = [
     "NonpositiveVarianceError",
     "PriceBreakdown",
     "QuadratureConvergenceError",
-    "TruncationGeometry",
     "ValidationReport",
     "aggregate",
     "bs_call",
@@ -81,7 +77,6 @@ __all__ = [
     "capped_moment_closed",
     "closed_form_moments",
     "cumulants_from_moments",
-    "hermite_h3",
     "default_grid",
     "edgeworth_params",
     "empirical_cumulants",
@@ -94,6 +89,5 @@ __all__ = [
     "run_validation",
     "simulate_ms",
     "simulate_msln",
-    "truncation_geometry",
     "write_discrepancy_log",
 ]

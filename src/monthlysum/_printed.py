@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .contracts import ContractSpec, MarketParams
-from .moments import _INV_SQRT_2PI, standard_normal_cdf, truncation_geometry
+from .moments import _INV_SQRT_2PI, _truncation_geometry, standard_normal_cdf
 
 
 def capped_moments(market: MarketParams, contract: ContractSpec) -> tuple[float, float, float]:
@@ -21,7 +21,7 @@ def capped_moments(market: MarketParams, contract: ContractSpec) -> tuple[float,
     I_2 carries the exp(-c~^2) defect.
     """
     sigma, dt, mu = market.sigma, market.dt, market.mu
-    ct = truncation_geometry(market, contract).c_tilde
+    ct = _truncation_geometry(market, contract).c_tilde
     c = contract.log_cap
     cdf_c = standard_normal_cdf(ct)
     ec = math.exp(-0.5 * ct * ct)
@@ -52,7 +52,7 @@ def floored_moments(market: MarketParams, contract: ContractSpec) -> tuple[float
     """Printed cap-and-floor (I_1, I_2, I_3): every order is defective."""
     sigma, dt, mu = market.sigma, market.dt, market.mu
     m = mu * dt
-    ct = truncation_geometry(market, contract).c_tilde
+    ct = _truncation_geometry(market, contract).c_tilde
     c, f = contract.log_cap, contract.log_floor
     # defective floor abscissa: sqrt(2*pi) does not belong in the denominator
     ft = (f - m) / math.sqrt(2.0 * math.pi * sigma * sigma * dt)

@@ -36,7 +36,7 @@ import re
 import sys
 
 from .contracts import ContractSpec, MarketParams
-from .montecarlo import McConfig, _simulate_pair, _simulate_pairs
+from .montecarlo import _PAIR, McConfig, _run
 from .pricer import price_ms
 from .validation import (
     CORRECTED,
@@ -155,7 +155,7 @@ def cmd_price(ns: argparse.Namespace) -> int:
 def cmd_mc(ns: argparse.Namespace) -> int:
     contract, market = _inputs(vars(ns))
     cfg = McConfig(paths=ns.mc_paths, seed=ns.seed, antithetic=ns.antithetic)
-    ms, msln = _simulate_pair(contract, market, cfg, threads=ns.threads)
+    ((ms, msln),) = _run(((contract, market),), cfg, _PAIR, ns.threads)
     record = {name: getattr(ns, name) for name in _FIELDS}
     record.update(
         paths=cfg.paths,
@@ -184,7 +184,8 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
     values = [start + k * step for k in range(count)]
     if len(values) < 2:
         raise ValueError(
-            f"sweep grid is empty after stepping from={start!r} to={stop!r} step={step!r}"
+            f"sweep needs at least two values, but from={start!r} to={stop!r} step={step!r} "
+            f"gives {len(values)}"
         )
     return values
 
@@ -223,7 +224,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                         "ms0_plus_ms1": breakdown.total})
     if cfg is not None:
         # the rows share passes over the blocks, each block drawn once per pass
-        for record, (ms, msln) in zip(records, _simulate_pairs(rows_in, cfg)):
+        for record, (ms, msln) in zip(records, _run(rows_in, cfg, _PAIR, ns.threads)):
             record.update(mc_mean=ms.mean, mc_stderr=ms.stderr, msln_mc_mean=msln.mean)
     _write_records(records, ns)
     return 0

@@ -32,13 +32,7 @@ __all__ = [
     "EdgeworthParams",
     "aggregate",
     "cumulants_from_moments",
-    "hermite_h3",
 ]
-
-
-def hermite_h3(z):
-    """Third probabilists' Hermite polynomial, z^3 - 3z."""
-    return z * (z * z - 3.0)
 
 
 @dataclass(frozen=True)

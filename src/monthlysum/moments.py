@@ -44,7 +44,6 @@ __all__ = [
     "CORRECTED",
     "PRINTED",
     "MomentSet",
-    "TruncationGeometry",
     "capped_floored_moment_closed",
     "capped_moment_closed",
     "closed_form_moments",
@@ -52,7 +51,6 @@ __all__ = [
     "quadrature_moments",
     "standard_normal_cdf",
     "standard_normal_pdf",
-    "truncation_geometry",
 ]
 
 CORRECTED = "corrected"
@@ -112,7 +110,7 @@ def _monthly_scale(market: MarketParams) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class TruncationGeometry:
+class _TruncationGeometry:
     """Standardized bound abscissas and the point masses they carry.
 
     ``c_tilde`` and ``f_tilde`` are (log bound - m)/s; ``cap_mass`` is the
@@ -128,15 +126,15 @@ class TruncationGeometry:
     floor_mass: float | None = None
 
 
-def truncation_geometry(market: MarketParams, contract: ContractSpec) -> TruncationGeometry:
+def _truncation_geometry(market: MarketParams, contract: ContractSpec) -> _TruncationGeometry:
     """Standardize the contract bounds against the monthly Gaussian."""
     m, s = _monthly_scale(market)
     c_tilde = (contract.log_cap - m) / s
     cap_mass = standard_normal_cdf(-c_tilde)
     if contract.floor is None:
-        return TruncationGeometry(c_tilde=c_tilde, mu_tilde=m / s, cap_mass=cap_mass)
+        return _TruncationGeometry(c_tilde=c_tilde, mu_tilde=m / s, cap_mass=cap_mass)
     f_tilde = (contract.log_floor - m) / s
-    return TruncationGeometry(
+    return _TruncationGeometry(
         c_tilde=c_tilde,
         mu_tilde=m / s,
         cap_mass=cap_mass,
@@ -211,7 +209,7 @@ def moment_quadrature(n: int, market: MarketParams, contract: ContractSpec) -> f
     """
     if n not in (1, 2, 3):
         raise ValueError(f"moment order must be 1, 2 or 3, got {n!r}")
-    geo = truncation_geometry(market, contract)
+    geo = _truncation_geometry(market, contract)
     m, s = _monthly_scale(market)
 
     z_hi = min(geo.c_tilde, TAIL_CLIP)
@@ -264,7 +262,7 @@ def _closed_moments(
         printed = _printed.capped_moments if contract.floor is None else _printed.floored_moments
         return printed(market, contract)
     m, s = _monthly_scale(market)
-    geo = truncation_geometry(market, contract)
+    geo = _truncation_geometry(market, contract)
     c, cm = contract.log_cap, geo.cap_mass
     body = _partial_moments(m, s, geo.c_tilde, standard_normal_cdf(geo.c_tilde))
     caps = (c * cm, c * c * cm, c * c * c * cm)

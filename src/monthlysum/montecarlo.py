@@ -7,22 +7,21 @@ Two payoffs are simulated on the same monthly Gaussian draws:
 * ``simulate_msln``: the lognormal proxy the closed form actually prices,
   max(exp(sum of capped log monthly returns) - 1, 0).
 
-Draws come from the counter-based generator in :mod:`monthlysum.rng`, so a
-path's normals are a pure function of (seed, path index, stream id). Paths
-are processed serially in fixed blocks of :data:`BLOCK`, and all reductions
-happen after assembly. The ``threads`` argument is accepted (it must be at
-least 1) and has no effect: each block is a run of small numpy calls that
-hold the GIL between them, so a thread pool only added overhead.
+Draws come from the counter-based generator in :mod:`monthlysum.rng`, all
+on its one stream :data:`~monthlysum.rng.STREAM_SHARED`, so a path's
+normals are a pure function of (seed, path index). Paths are processed
+serially in fixed blocks of :data:`BLOCK`, and all reductions happen after
+assembly. The ``threads`` argument is accepted (it must be at least 1) and
+has no effect: each block is a run of small numpy calls that hold the GIL
+between them, so a thread pool only added overhead.
 
-With ``common_random_numbers`` both payoffs read the shared stream, making
-their difference a low-variance estimate of the capping-convention gap;
-priced together, as the CLI prices them, they share one draw per block.
-
-The rows of a ``sweep`` share the draws too: their normals do not depend
-on sigma, cap, floor, rate or dividend, and a path's first n normals are
-the same whatever count is drawn. One pass over the blocks draws each
-block once per stream, at the widest period count, and every row reads
-its leading columns. A pass keeps rows x payoffs x paths values alive, so
+Both payoffs read the same draws (common random numbers), so their
+difference is a low-variance estimate of the capping-convention gap. The
+rows of a ``sweep`` share them too: their normals do not depend on sigma,
+cap, floor, rate or dividend, and a path's first n normals are the same
+whatever count is drawn. One pass over the blocks draws each block once,
+at the widest period count, and every payoff of every row reads its
+leading columns. A pass keeps rows x payoffs x paths values alive, so
 rows share a pass only as far as :data:`_PASS_VALUES` (32 MiB) allows;
 the rest take further passes, with the same results.
 """
@@ -38,7 +37,7 @@ import numpy as np
 
 from .contracts import ContractSpec, MarketParams
 from .edgeworth import CumulantSet
-from .rng import STREAM_MS, STREAM_MSLN, STREAM_SHARED, _draw_normals, _scratch_array
+from .rng import STREAM_SHARED, _draw_normals, _scratch_array
 
 __all__ = [
     "BLOCK",
@@ -66,15 +65,13 @@ class McConfig:
 
     ``antithetic`` prices each pair (z, -z) together and averages within
     the pair before the variance is estimated; it requires at least two
-    pairs. ``common_random_numbers`` points every payoff at the shared
-    stream so that cross-payoff differences are computed on identical
-    draws.
+    pairs. Every payoff reads the same draws for a given ``seed``, so
+    cross-payoff differences are computed on identical draws.
     """
 
     paths: int
     seed: int = 42
     antithetic: bool = False
-    common_random_numbers: bool = True
 
     def __post_init__(self) -> None:
         for name in ("paths", "seed"):
@@ -106,32 +103,26 @@ class McResult:
     paths_used: int
 
 
-def _stream_for(private: int, cfg: McConfig) -> int:
-    return STREAM_SHARED if cfg.common_random_numbers else private
-
-
-def _draw(cfg: McConfig, stream: int, first_path: int, n_paths: int, count: int) -> np.ndarray:
-    """``rng.path_normals(cfg.seed, first_path, n_paths, count, stream)`` in scratch memory."""
+def _draw(cfg: McConfig, first_path: int, n_paths: int, count: int) -> np.ndarray:
+    """``rng.path_normals(cfg.seed, first_path, n_paths, count, STREAM_SHARED)``, in scratch."""
     words = _scratch_array("words", (n_paths, count + count % 2), np.uint64)
     if count % 2:
         out = _scratch_array("normals", (n_paths, count), np.float64)
     else:  # an even count's normals overwrite their own words
         out = words.view(np.float64)
-    return _draw_normals(words, out, cfg.seed, first_path, count, stream)
+    return _draw_normals(words, out, cfg.seed, first_path, count, STREAM_SHARED)
 
 
-def _block_normals(
-    cfg: McConfig, market: MarketParams, stream: int, start: int, stop: int
-) -> np.ndarray:
+def _block_normals(cfg: McConfig, market: MarketParams, start: int, stop: int) -> np.ndarray:
     """Monthly normals for paths [start, stop), honoring antithetic pairing.
 
     They live in the thread's scratch until its next block is drawn.
     """
     count = market.periods
     if not cfg.antithetic:
-        return _draw(cfg, stream, start, stop - start, count)
+        return _draw(cfg, start, stop - start, count)
     # pair k occupies paths 2k and 2k+1; the odd path mirrors the even one
-    base = _draw(cfg, stream, start // 2, (stop - start) // 2, count)
+    base = _draw(cfg, start // 2, (stop - start) // 2, count)
     z = _scratch_array("pairs", (stop - start, count), np.float64)
     z[0::2] = base
     np.negative(base, out=z[1::2])
@@ -169,10 +160,10 @@ def _capped_sums(
 def _run(
     rows: Sequence[tuple[ContractSpec, MarketParams]],
     cfg: McConfig,
-    legs: tuple[tuple[int, bool], ...],
+    legs: tuple[bool, ...],
     threads: int,
 ) -> list[tuple[McResult, ...]]:
-    """Price each (private stream, log payoff) leg of every (contract, market) row.
+    """Price each leg of every (contract, market) row; a leg is its log-payoff flag.
 
     Returns one tuple of results per row, in leg order. Rows share passes
     over the blocks, as many to a pass as keep its payoffs within
@@ -190,27 +181,24 @@ def _run(
 def _pass(
     rows: Sequence[tuple[ContractSpec, MarketParams]],
     cfg: McConfig,
-    legs: tuple[tuple[int, bool], ...],
+    legs: tuple[bool, ...],
 ) -> list[tuple[McResult, ...]]:
     """Price every leg of every row in one pass over the blocks.
 
-    A block's normals are drawn once per distinct stream, at the widest
-    period count among the rows, and each row reads its leading
-    ``periods`` columns: a path's normals do not depend on how many are
-    drawn. Legs that read one stream must be adjacent, and the last row of
-    the last of them works on the block in place.
+    A block's normals are drawn once, at the widest period count among the
+    rows, and each row reads its leading ``periods`` columns: a path's
+    normals do not depend on how many are drawn. Only the last (leg, row)
+    works on the block in place.
     """
-    streams = [_stream_for(private, cfg) for private, _ in legs]
     widest = max((market for _, market in rows), key=lambda market: market.periods)
     payoffs = np.empty((len(rows), len(legs), cfg.paths), dtype=np.float64)
+    last = (len(legs) - 1, len(rows) - 1)
     for start in range(0, cfg.paths, BLOCK):
         stop = min(start + BLOCK, cfg.paths)
-        for i, (stream, (_, log_payoff)) in enumerate(zip(streams, legs)):
-            if stream not in streams[:i]:
-                z = _block_normals(cfg, widest, stream, start, stop)
-            last_leg = stream not in streams[i + 1 :]
+        z = _block_normals(cfg, widest, start, stop)
+        for i, log_payoff in enumerate(legs):
             for r, (contract, market) in enumerate(rows):
-                in_place = last_leg and r == len(rows) - 1
+                in_place = (i, r) == last
                 sums = _capped_sums(contract, market, z[:, : market.periods], log_payoff, in_place)
                 if log_payoff:
                     np.expm1(sums, out=sums)
@@ -233,7 +221,7 @@ def simulate_ms(
 
     ``threads`` must be at least 1 and has no effect; blocks run serially.
     """
-    return _run(((contract, market),), cfg, ((STREAM_MS, False),), threads)[0][0]
+    return _run(((contract, market),), cfg, (False,), threads)[0][0]
 
 
 def simulate_msln(
@@ -243,32 +231,11 @@ def simulate_msln(
 
     ``threads`` must be at least 1 and has no effect; blocks run serially.
     """
-    return _run(((contract, market),), cfg, ((STREAM_MSLN, True),), threads)[0][0]
+    return _run(((contract, market),), cfg, (True,), threads)[0][0]
 
 
 #: The legs of ``mc`` and ``sweep``: the contract, then the lognormal proxy.
-_PAIR = ((STREAM_MS, False), (STREAM_MSLN, True))
-
-
-def _simulate_pair(
-    contract: ContractSpec, market: MarketParams, cfg: McConfig, threads: int = 1
-) -> tuple[McResult, McResult]:
-    """``(simulate_ms(...), simulate_msln(...))``, bit for bit, from one pass.
-
-    With common random numbers each block is drawn once for both payoffs.
-    """
-    return _run(((contract, market),), cfg, _PAIR, threads)[0]
-
-
-def _simulate_pairs(
-    rows: Sequence[tuple[ContractSpec, MarketParams]], cfg: McConfig, threads: int = 1
-) -> list[tuple[McResult, McResult]]:
-    """``_simulate_pair`` of each (contract, market) row, bit for bit.
-
-    With common random numbers each block is drawn once for every row of a
-    pass and both payoffs.
-    """
-    return _run(rows, cfg, _PAIR, threads)
+_PAIR = (False, True)
 
 
 def empirical_cumulants(
@@ -290,10 +257,9 @@ def empirical_cumulants(
     if cfg.antithetic:
         raise ValueError("cumulant estimation requires independent paths; disable antithetic")
     sums = np.empty(cfg.paths, dtype=np.float64)
-    stream = _stream_for(STREAM_MSLN, cfg)
     for start in range(0, cfg.paths, BLOCK):
         stop = min(start + BLOCK, cfg.paths)
-        z = _block_normals(cfg, market, stream, start, stop)
+        z = _block_normals(cfg, market, start, stop)
         sums[start:stop] = _capped_sums(contract, market, z, True, in_place=True)
     # k-statistics from the power sums S_r, in the operation order of
     # SciPy's kstat so the values match it bit for bit

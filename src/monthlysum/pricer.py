@@ -112,9 +112,9 @@ def ms_correction_quadrature(ep: EdgeworthParams, market: MarketParams) -> float
     hi = max(z0, b) + 16.0
 
     def integrand(z: float) -> float:
-        # (exp(a + b z) - 1) * hermite_h3(z) * standard_normal_pdf(z), inlined
-        # in their operation order (np.exp as there: math.exp can differ in
-        # the last bit)
+        # (exp(a + b z) - 1) * H3(z) * standard_normal_pdf(z), with H3(z) =
+        # z(z^2 - 3) and the density inlined in its operation order (np.exp
+        # as there: math.exp can differ in the last bit)
         return (math.exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * float(
             _INV_SQRT_2PI * np.exp(-0.5 * z * z)
         )

@@ -5,11 +5,12 @@ over numpy arrays. Each 128-bit counter block encrypts to four 32-bit words
 under a 64-bit key; blocks are independent, so any path's variates can be
 generated in isolation.
 
-Layout used by the Monte Carlo engine: key = the user seed (low and high
-32-bit halves); counter = (block index within the path, path index low,
-path index high, stream id). A path's normals are therefore a pure function
-of (seed, path index, stream id), and no batching of the work can change a
-draw: it only decides which counter blocks share a pass.
+Layout: key = the user seed (low and high 32-bit halves); counter =
+(block index within the path, path index low, path index high, stream id).
+A path's normals are therefore a pure function of (seed, path index, stream
+id), and no batching of the work can change a draw: it only decides which
+counter blocks share a pass. The Monte Carlo engine draws every payoff from
+the one stream :data:`STREAM_SHARED`.
 
 The four counter words live in uint64 lanes, each holding a value below
 2^32, for all ten rounds. The round multiply then yields the exact 64-bit
@@ -35,8 +36,6 @@ from scipy.special import ndtri
 
 __all__ = [
     "STREAM_SHARED",
-    "STREAM_MS",
-    "STREAM_MSLN",
     "path_normals",
     "philox4x32",
 ]
@@ -58,11 +57,9 @@ _LANE_INDEX = np.arange(_TILE, dtype=np.uint64)
 #: Each thread's work arrays by role (see _scratch_array).
 _scratch = threading.local()
 
-#: Stream ids: one shared stream for common-random-number comparisons, and
-#: a private stream per payoff for independent runs.
+#: The stream id of every Monte Carlo draw, so that all payoffs read
+#: common random numbers.
 STREAM_SHARED = 0
-STREAM_MS = 1
-STREAM_MSLN = 2
 
 _TWO_NEG_52 = 2.0**-52
 
@@ -138,8 +135,8 @@ def path_normals(seed: int, first_path: int, n_paths: int, count: int, stream: i
             satisfy 0 <= first_path and first_path + n_paths <= 2^64.
         n_paths: number of consecutive paths, 0 or more.
         count: normals per path, 0 or more.
-        stream: stream id keeping distinct payoffs decorrelated,
-            0 <= stream < 2^32.
+        stream: stream id, 0 <= stream < 2^32; distinct ids give
+            independent draws.
 
     Raises:
         ValueError: for an argument outside these ranges.

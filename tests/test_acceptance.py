@@ -196,7 +196,7 @@ def test_criterion_5_log_proxy_tracks_simple_sum_within_two_percent(capsys):
         exact_ms, exact_msln = exact_prices(market, cap)
         runs = np.empty((batches, 4))
         for b in range(batches):
-            cfg = McConfig(paths=batch_paths, seed=SEED + b, common_random_numbers=True)
+            cfg = McConfig(paths=batch_paths, seed=SEED + b)
             ms = simulate_ms(contract, market, cfg)
             msln = simulate_msln(contract, market, cfg)
             runs[b] = (ms.mean, msln.mean, ms.stderr, msln.stderr)

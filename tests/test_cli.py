@@ -236,6 +236,16 @@ class TestSweep:
         assert code == 2
         assert "from < to" in err
 
+    def test_single_value_grid_is_bad_input(self, capsys):
+        # the step just overshoots the range, leaving only --from
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "cap", "--from", "0.01", "--to", "0.02", "--step",
+            "0.0100000001",
+        )
+        assert (code, out) == (2, "")
+        assert "at least two values" in err
+        assert "gives 1" in err
+
     def test_negative_exponent_bounds(self, capsys):
         decimal = run_cli(
             capsys, "sweep", "--axis", "floor", "--from", "-0.1", "--to", "-0.05", "--step",

@@ -15,7 +15,6 @@ from monthlysum import (
     aggregate,
     closed_form_moments,
     cumulants_from_moments,
-    hermite_h3,
 )
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
@@ -24,16 +23,6 @@ CAP_ONLY = ContractSpec(cap=0.025)
 
 def default_params():
     return aggregate(cumulants_from_moments(closed_form_moments(MARKET, CAP_ONLY)), MARKET)
-
-
-class TestHermite:
-    def test_roots(self):
-        for z in (0.0, math.sqrt(3.0), -math.sqrt(3.0)):
-            assert hermite_h3(z) == pytest.approx(0.0, abs=1e-15)
-
-    def test_reference_value(self):
-        assert hermite_h3(2.0) == pytest.approx(2.0, rel=1e-15)
-        assert hermite_h3(-1.5) == pytest.approx(1.125, rel=1e-15)
 
 
 class TestCumulantConversion:

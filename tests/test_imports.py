@@ -1,10 +1,12 @@
 """Import-weight and concurrency guards on the package source, and the
-names the benchmark and the demos import from it."""
+names the benchmark and the demos import from it, with the keywords they
+pass to them."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -59,38 +61,88 @@ def test_no_module_imports_concurrent_futures():
             assert not module.startswith("concurrent"), f"{path.name} imports {module}"
 
 
-def _package_imports(path: Path):
-    """(module, name) per name a file imports from monthlysum; name None for ``import``."""
+def _package_imports(tree: ast.AST):
+    """(module, name, local) per name a file imports from monthlysum.
+
+    ``name`` is None for ``import``. ``local`` is the name the import binds,
+    or the dotted module for an unaliased ``import monthlysum.x``, which no
+    call's plain name matches.
+    """
     def ours(module: str) -> bool:
         return module == "monthlysum" or module.startswith("monthlysum.")
 
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            yield from ((alias.name, None) for alias in node.names if ours(alias.name))
+            for alias in node.names:
+                if ours(alias.name):
+                    yield alias.name, None, alias.asname or alias.name
         elif isinstance(node, ast.ImportFrom) and not node.level and ours(node.module or ""):
-            yield from ((node.module, alias.name) for alias in node.names)
+            for alias in node.names:
+                yield node.module, alias.name, alias.asname or alias.name
+
+
+def _imported(module: str, name: str | None):
+    """The object ``from module import name`` (or ``import module``) binds."""
+    mod = importlib.import_module(module)
+    if name is None:
+        return mod
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    return importlib.import_module(f"{module}.{name}")
 
 
 def _resolves(module: str, name: str | None) -> bool:
     """Whether ``from module import name`` (or ``import module``) would succeed."""
     try:
-        mod = importlib.import_module(module)
-        if name is None or hasattr(mod, name):
-            return True
-        importlib.import_module(f"{module}.{name}")
+        _imported(module, name)
         return True
     except ImportError:
         return False
 
 
+def _callee(func: ast.expr, bound: dict[str, object]):
+    """The imported object a call's ``func`` names (``f`` or ``mod.f``), else None."""
+    if isinstance(func, ast.Name):
+        return bound.get(func.id)
+    if isinstance(func, ast.Attribute):
+        owner = _callee(func.value, bound)
+        return getattr(owner, func.attr, None)
+    return None
+
+
+def _unknown_keywords(path: Path, tree: ast.AST):
+    """(file, line, callee, keyword) per keyword an imported callable does not take."""
+    bound = {
+        local: _imported(module, name)
+        for module, name, local in _package_imports(tree)
+        if _resolves(module, name)
+    }
+    for node in ast.walk(tree):
+        target = _callee(node.func, bound) if isinstance(node, ast.Call) else None
+        if not callable(target):
+            continue
+        params = inspect.signature(target).parameters.values()
+        if any(p.kind is p.VAR_KEYWORD for p in params):
+            continue
+        names = {p.name for p in params if p.kind is not p.POSITIONAL_ONLY}
+        for kw in node.keywords:
+            if kw.arg is not None and kw.arg not in names:
+                yield path.name, node.lineno, ast.unparse(node.func), kw.arg
+
+
 @pytest.mark.parametrize("folder", ("perfbench", "demos"))
 def test_benchmark_and_demo_imports_exist(folder):
-    # reads the import statements only; no benchmark or demo code runs
+    # reads the source only; no benchmark or demo code runs
     sources = sorted((SRC.parent / folder).glob("*.py"))
     assert sources
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
     imports = [
-        (path.name, module, name) for path in sources for module, name in _package_imports(path)
+        (path.name, module, name)
+        for path, tree in trees.items()
+        for module, name, _ in _package_imports(tree)
     ]
     assert imports
     missing = [entry for entry in imports if not _resolves(*entry[1:])]
     assert not missing, f"names no longer in monthlysum: {missing}"
+    unknown = [entry for path, tree in trees.items() for entry in _unknown_keywords(path, tree)]
+    assert not unknown, f"keywords the callable does not take: {unknown}"

@@ -25,9 +25,13 @@ from monthlysum import (
     closed_form_moments,
     moment_quadrature,
     quadrature_moments,
-    truncation_geometry,
 )
-from monthlysum.moments import PRINTED, standard_normal_cdf, standard_normal_pdf
+from monthlysum.moments import (
+    PRINTED,
+    _truncation_geometry,
+    standard_normal_cdf,
+    standard_normal_pdf,
+)
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
 CAP_ONLY = ContractSpec(cap=0.025)
@@ -91,14 +95,14 @@ class TestNormalHelpers:
 
 class TestTruncationGeometry:
     def test_standardized_cap_abscissa(self):
-        geo = truncation_geometry(MARKET, CAP_ONLY)
+        geo = _truncation_geometry(MARKET, CAP_ONLY)
         assert geo.c_tilde == pytest.approx(0.44212235251112453, rel=1e-12)
         assert geo.cap_mass == pytest.approx(standard_normal_cdf(-geo.c_tilde), rel=1e-15)
         assert geo.f_tilde is None
         assert geo.floor_mass is None
 
     def test_floor_abscissa_and_mass(self):
-        geo = truncation_geometry(MARKET, CAP_FLOOR)
+        geo = _truncation_geometry(MARKET, CAP_FLOOR)
         m = MARKET.mu * MARKET.dt
         s = MARKET.sigma * math.sqrt(MARKET.dt)
         assert geo.f_tilde == pytest.approx((math.log1p(-0.05) - m) / s, rel=1e-14)
@@ -107,7 +111,7 @@ class TestTruncationGeometry:
     def test_degenerate_volatility_rejected(self):
         tiny = MarketParams(rate=0.03, dividend_yield=0.02, sigma=1e-13, term=1.0, periods=12)
         with pytest.raises(DegenerateVolatilityError):
-            truncation_geometry(tiny, CAP_ONLY)
+            _truncation_geometry(tiny, CAP_ONLY)
 
 
 class TestAgainstFrozenReferences:
@@ -165,7 +169,7 @@ class TestLimits:
         # moments; I3 can sit near zero, hence the absolute floor
         market = MarketParams(rate=rate, dividend_yield=div, sigma=sigma, term=1.0, periods=periods)
         floored = ContractSpec(cap=cap, floor=floor)
-        assume(truncation_geometry(market, floored).f_tilde < -12.0)
+        assume(_truncation_geometry(market, floored).f_tilde < -12.0)
         for n in (1, 2, 3):
             got = capped_floored_moment_closed(n, market, floored)
             want = capped_moment_closed(n, market, ContractSpec(cap=cap))
@@ -174,7 +178,7 @@ class TestLimits:
     def test_tight_bounds_concentrate_on_the_atoms(self):
         # a razor-thin corridor leaves almost all mass on the two atoms
         tight = ContractSpec(cap=0.01001, floor=0.00999)
-        geo = truncation_geometry(MARKET, tight)
+        geo = _truncation_geometry(MARKET, tight)
         i1 = capped_floored_moment_closed(1, MARKET, tight)
         atoms = tight.log_cap * geo.cap_mass + tight.log_floor * geo.floor_mass
         assert i1 == pytest.approx(atoms, rel=1e-3)

@@ -27,8 +27,8 @@ from monthlysum import (
 )
 from monthlysum import montecarlo
 from monthlysum.cli import main
-from monthlysum.montecarlo import _PAIR, BLOCK, _run, _simulate_pair
-from monthlysum.rng import STREAM_MS, STREAM_MSLN, STREAM_SHARED, path_normals
+from monthlysum.montecarlo import _PAIR, BLOCK, _run
+from monthlysum.rng import STREAM_SHARED, path_normals
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
 CAP_ONLY = ContractSpec(cap=0.025)
@@ -45,6 +45,11 @@ def _count_path_normals(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(montecarlo, "_draw_normals", counted)
     return streams
+
+
+def _price_pair(contract, market, cfg):
+    """Both payoffs of one row from one pass, as ``mc`` prices them."""
+    return _run(((contract, market),), cfg, _PAIR, 1)[0]
 
 
 class TestRegressionPoints:
@@ -126,23 +131,20 @@ class TestDeterminism:
 
 class TestCommonRandomNumbers:
     @pytest.mark.parametrize(
-        "contract, market, paths, antithetic, crn",
+        "contract, market, paths, antithetic",
         (
-            (CAP_ONLY, MARKET, 10_000, False, True),
-            (CAP_ONLY, MARKET, 10_000, True, True),
-            (CAP_ONLY, MARKET, 10_000, False, False),
-            (CAP_ONLY, MARKET, 10_000, True, False),
-            (ContractSpec(cap=0.025, floor=-0.03), MARKET, 10_000, True, True),
-            (CAP_ONLY, MarketParams(0.03, 0.02, 0.2, 1.0, periods=13), 5_000, True, True),
-            (CAP_ONLY, MARKET, BLOCK + 37, False, True),
+            (CAP_ONLY, MARKET, 10_000, False),
+            (CAP_ONLY, MARKET, 10_000, True),
+            (ContractSpec(cap=0.025, floor=-0.03), MARKET, 10_000, True),
+            (CAP_ONLY, MarketParams(0.03, 0.02, 0.2, 1.0, periods=13), 5_000, True),
+            (CAP_ONLY, MARKET, BLOCK + 37, False),
         ),
-        ids=("crn", "crn-antithetic", "private", "private-antithetic", "floored",
-             "odd-periods", "partial-block"),
+        ids=("crn", "crn-antithetic", "floored", "odd-periods", "partial-block"),
     )
-    def test_pair_equals_separate_calls(self, contract, market, paths, antithetic, crn):
-        cfg = McConfig(paths=paths, seed=11, antithetic=antithetic, common_random_numbers=crn)
+    def test_pair_equals_separate_calls(self, contract, market, paths, antithetic):
+        cfg = McConfig(paths=paths, seed=11, antithetic=antithetic)
         separate = (simulate_ms(contract, market, cfg), simulate_msln(contract, market, cfg))
-        assert _simulate_pair(contract, market, cfg) == separate
+        assert _price_pair(contract, market, cfg) == separate
 
     @pytest.mark.parametrize(
         "argv, calls",
@@ -163,31 +165,13 @@ class TestCommonRandomNumbers:
         assert len(drawn) == calls
 
     @pytest.mark.parametrize("paths", (4096, BLOCK + 37))
-    def test_private_streams_draw_per_payoff(self, monkeypatch, paths):
+    def test_one_payoff_draws_the_shared_stream_once_per_block(self, monkeypatch, paths):
         drawn = _count_path_normals(monkeypatch)
-        cfg = McConfig(paths=paths, seed=11, common_random_numbers=False)
-        _simulate_pair(CAP_ONLY, MARKET, cfg)
         blocks = math.ceil(paths / BLOCK)
-        assert sorted(drawn) == [STREAM_MS] * blocks + [STREAM_MSLN] * blocks
-        drawn.clear()
-        simulate_msln(CAP_ONLY, MARKET, McConfig(paths=paths, seed=11))
-        assert drawn == [STREAM_SHARED] * blocks
-
-    def test_private_streams_decorrelate(self):
-        shared = McConfig(paths=10_000, seed=11, common_random_numbers=True)
-        private = McConfig(paths=10_000, seed=11, common_random_numbers=False)
-        gap_shared = abs(
-            simulate_ms(CAP_ONLY, MARKET, shared).mean
-            - simulate_msln(CAP_ONLY, MARKET, shared).mean
-        )
-        gap_private = abs(
-            simulate_ms(CAP_ONLY, MARKET, private).mean
-            - simulate_msln(CAP_ONLY, MARKET, private).mean
-        )
-        # the CRN gap estimate carries far less noise than the private one;
-        # at these settings the true gap is ~3e-4 while private-stream noise
-        # is ~1e-4 per leg, so this ordering is stable though not certain
-        assert gap_shared < gap_private + 5e-4
+        for simulate in (simulate_ms, simulate_msln):
+            drawn.clear()
+            simulate(CAP_ONLY, MARKET, McConfig(paths=paths, seed=11))
+            assert drawn == [STREAM_SHARED] * blocks
 
 
 #: Sweep rows along each axis; the months rows mix odd and even period counts.
@@ -209,19 +193,17 @@ class TestSharedPasses:
 
     @pytest.mark.parametrize("axis", sorted(SWEEP_ROWS))
     @pytest.mark.parametrize(
-        "paths, antithetic, crn",
-        ((4096, False, True), (4096, True, True), (BLOCK + 37, False, True),
-         (BLOCK + 38, True, False)),
-        ids=("plain", "antithetic", "partial-block", "private-antithetic"),
+        "paths, antithetic",
+        ((4096, False), (4096, True), (BLOCK + 37, False), (BLOCK + 38, True)),
+        ids=("plain", "antithetic", "partial-block", "antithetic-partial-block"),
     )
-    def test_rows_equal_separate_pairs(self, monkeypatch, axis, paths, antithetic, crn):
+    def test_rows_equal_separate_pairs(self, monkeypatch, axis, paths, antithetic):
         rows = SWEEP_ROWS[axis]
-        cfg = McConfig(paths=paths, seed=19, antithetic=antithetic, common_random_numbers=crn)
-        alone = [_simulate_pair(contract, market, cfg) for contract, market in rows]
+        cfg = McConfig(paths=paths, seed=19, antithetic=antithetic)
+        alone = [_price_pair(contract, market, cfg) for contract, market in rows]
         drawn = _count_path_normals(monkeypatch)
         assert _run(rows, cfg, _PAIR, 1) == alone
-        # each block is drawn once per stream: once, or once per payoff
-        assert len(drawn) == math.ceil(paths / BLOCK) * (1 if crn else 2)
+        assert len(drawn) == math.ceil(paths / BLOCK)
 
     def test_rows_beyond_the_pass_bound_take_more_passes(self, monkeypatch, capsys):
         paths = BLOCK + 37
@@ -240,10 +222,7 @@ class TestSharedPasses:
 class TestAntithetic:
     def test_pairs_mirror_the_base_draws(self):
         cfg = McConfig(paths=8, seed=3, antithetic=True)
-        from monthlysum.montecarlo import _block_normals
-        from monthlysum.rng import STREAM_SHARED
-
-        z = _block_normals(cfg, MARKET, STREAM_SHARED, 0, 8)
+        z = montecarlo._block_normals(cfg, MARKET, 0, 8)
         base = path_normals(3, 0, 4, MARKET.periods, STREAM_SHARED)
         np.testing.assert_array_equal(z[0::2], base)
         np.testing.assert_array_equal(z[1::2], -base)
@@ -276,8 +255,8 @@ class TestScratch:
             rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=periods
         )
         cfg = McConfig(paths=2 * BLOCK, seed=5, antithetic=antithetic)
-        first = montecarlo._block_normals(cfg, market, STREAM_SHARED, 0, BLOCK)
-        second = montecarlo._block_normals(cfg, market, STREAM_SHARED, BLOCK, 2 * BLOCK)
+        first = montecarlo._block_normals(cfg, market, 0, BLOCK)
+        second = montecarlo._block_normals(cfg, market, BLOCK, 2 * BLOCK)
         assert np.shares_memory(first, second)
         if not antithetic:
             fresh = path_normals(5, BLOCK, BLOCK, periods, STREAM_SHARED)

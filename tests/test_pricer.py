@@ -33,6 +33,7 @@ from monthlysum import (
 )
 from monthlysum.pricer import PriceBreakdown
 from monthlysum.moments import PRINTED
+from monthlysum.validation import CORRECTION_REL_TOL, REL_DENOM_FLOOR
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
 CAP_ONLY = ContractSpec(cap=0.025)
@@ -147,6 +148,29 @@ class TestPriceMs:
         quad = price_ms(CAP_ONLY, MARKET, correction="quadrature")
         closed = price_ms(CAP_ONLY, MARKET, correction="closed")
         assert closed.ms1 == pytest.approx(quad.ms1, rel=1e-8)
+
+    # the benchmark's quote ranges: longer terms and every period count
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        cap=st.floats(0.005, 0.10),
+        floor=st.one_of(st.none(), st.floats(-0.10, 0.0)),
+        sigma=st.floats(0.05, 0.5),
+        rate=st.floats(0.0, 0.06),
+        div=st.floats(0.0, 0.03),
+        term=st.floats(1.0, 10.0),
+        periods=st.sampled_from((4, 12, 52, 252)),
+    )
+    def test_correction_routes_agree_over_quote_ranges(
+        self, cap, floor, sigma, rate, div, term, periods
+    ):
+        contract = ContractSpec(cap=cap, floor=floor)
+        market = MarketParams(
+            rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
+        )
+        quad = price_ms(contract, market).ms1
+        closed = price_ms(contract, market, correction="closed").ms1
+        # measured as the validation suite measures it, with its floor under |quad|
+        assert abs(closed - quad) <= CORRECTION_REL_TOL * max(abs(quad), REL_DENOM_FLOOR)
 
     def test_moment_routes_agree(self):
         # the quadrature moments reach the aggregate law by composing the stages

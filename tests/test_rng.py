@@ -18,14 +18,11 @@ from scipy.special import ndtri
 
 import philox_reference
 from monthlysum import rng
-from monthlysum.rng import (
-    STREAM_MS,
-    STREAM_MSLN,
-    STREAM_SHARED,
-    _to_unit_interval,
-    path_normals,
-    philox4x32,
-)
+from monthlysum.rng import STREAM_SHARED, _to_unit_interval, path_normals, philox4x32
+
+#: Two stream ids besides the engine's; path_normals takes any id in [0, 2^32).
+STREAM_ONE = 1
+STREAM_TWO = 2
 
 
 class TestKnownAnswers:
@@ -55,7 +52,7 @@ class TestUniformMapping:
         assert np.isfinite(ndtri(u)).all()
 
     def test_sample_mean_and_spread(self):
-        z = path_normals(seed=7, first_path=0, n_paths=4000, count=12, stream=STREAM_MS)
+        z = path_normals(seed=7, first_path=0, n_paths=4000, count=12, stream=STREAM_ONE)
         flat = z.ravel()
         n = flat.size
         assert abs(flat.mean()) < 4.0 / np.sqrt(n)
@@ -64,50 +61,50 @@ class TestUniformMapping:
 
 class TestPathPurity:
     def test_rows_independent_of_batching(self):
-        whole = path_normals(seed=42, first_path=0, n_paths=64, count=12, stream=STREAM_MS)
+        whole = path_normals(seed=42, first_path=0, n_paths=64, count=12, stream=STREAM_ONE)
         pieces = np.vstack(
             [
-                path_normals(seed=42, first_path=lo, n_paths=16, count=12, stream=STREAM_MS)
+                path_normals(seed=42, first_path=lo, n_paths=16, count=12, stream=STREAM_ONE)
                 for lo in (0, 16, 32, 48)
             ]
         )
         np.testing.assert_array_equal(whole, pieces)
 
     def test_single_path_extraction(self):
-        whole = path_normals(seed=42, first_path=0, n_paths=64, count=12, stream=STREAM_MS)
-        one = path_normals(seed=42, first_path=37, n_paths=1, count=12, stream=STREAM_MS)
+        whole = path_normals(seed=42, first_path=0, n_paths=64, count=12, stream=STREAM_ONE)
+        one = path_normals(seed=42, first_path=37, n_paths=1, count=12, stream=STREAM_ONE)
         np.testing.assert_array_equal(whole[37], one[0])
 
     def test_count_prefix_consistency(self):
         # shorter draws are prefixes: the counter layout ties column j to
         # block j//2, not to the requested count
-        long = path_normals(seed=9, first_path=5, n_paths=3, count=12, stream=STREAM_MS)
-        short = path_normals(seed=9, first_path=5, n_paths=3, count=7, stream=STREAM_MS)
+        long = path_normals(seed=9, first_path=5, n_paths=3, count=12, stream=STREAM_ONE)
+        short = path_normals(seed=9, first_path=5, n_paths=3, count=7, stream=STREAM_ONE)
         np.testing.assert_array_equal(long[:, :7], short)
 
 
 class TestSeparation:
     def test_streams_differ(self):
         a = path_normals(seed=42, first_path=0, n_paths=8, count=12, stream=STREAM_SHARED)
-        b = path_normals(seed=42, first_path=0, n_paths=8, count=12, stream=STREAM_MS)
-        c = path_normals(seed=42, first_path=0, n_paths=8, count=12, stream=STREAM_MSLN)
+        b = path_normals(seed=42, first_path=0, n_paths=8, count=12, stream=STREAM_ONE)
+        c = path_normals(seed=42, first_path=0, n_paths=8, count=12, stream=STREAM_TWO)
         assert not np.array_equal(a, b)
         assert not np.array_equal(b, c)
         assert not np.array_equal(a, c)
 
     def test_seeds_differ(self):
-        a = path_normals(seed=1, first_path=0, n_paths=8, count=12, stream=STREAM_MS)
-        b = path_normals(seed=2, first_path=0, n_paths=8, count=12, stream=STREAM_MS)
+        a = path_normals(seed=1, first_path=0, n_paths=8, count=12, stream=STREAM_ONE)
+        b = path_normals(seed=2, first_path=0, n_paths=8, count=12, stream=STREAM_ONE)
         assert not np.array_equal(a, b)
 
     def test_high_seed_bits_matter(self):
-        a = path_normals(seed=1, first_path=0, n_paths=8, count=2, stream=STREAM_MS)
-        b = path_normals(seed=1 + 2**32, first_path=0, n_paths=8, count=2, stream=STREAM_MS)
+        a = path_normals(seed=1, first_path=0, n_paths=8, count=2, stream=STREAM_ONE)
+        b = path_normals(seed=1 + 2**32, first_path=0, n_paths=8, count=2, stream=STREAM_ONE)
         assert not np.array_equal(a, b)
 
     def test_high_path_bits_matter(self):
-        a = path_normals(seed=1, first_path=0, n_paths=1, count=2, stream=STREAM_MS)
-        b = path_normals(seed=1, first_path=2**32, n_paths=1, count=2, stream=STREAM_MS)
+        a = path_normals(seed=1, first_path=0, n_paths=1, count=2, stream=STREAM_ONE)
+        b = path_normals(seed=1, first_path=2**32, n_paths=1, count=2, stream=STREAM_ONE)
         assert not np.array_equal(a, b)
 
 
@@ -136,16 +133,16 @@ class TestValidation:
 
     def test_path_range_reaches_the_last_index(self):
         last = 2**64 - 1
-        z = path_normals(seed=5, first_path=last, n_paths=1, count=3, stream=STREAM_MS)
+        z = path_normals(seed=5, first_path=last, n_paths=1, count=3, stream=STREAM_ONE)
         # path 2^64 - 1 from the known-answer entry point: counter
         # (block, path low, path high, stream), key (seed low, seed high)
         expected = []
         for block in (0, 1):
-            w = philox4x32((block, last & 0xFFFFFFFF, last >> 32, STREAM_MS), (5, 0))
+            w = philox4x32((block, last & 0xFFFFFFFF, last >> 32, STREAM_ONE), (5, 0))
             for bits in ((w[0] << 32) | w[1], (w[2] << 32) | w[3]):
                 expected.append(ndtri(((bits >> 12) + 0.5) * 2.0**-52))
         np.testing.assert_array_equal(z[0], expected[:3])
-        tail = path_normals(seed=5, first_path=last - 2, n_paths=3, count=3, stream=STREAM_MS)
+        tail = path_normals(seed=5, first_path=last - 2, n_paths=3, count=3, stream=STREAM_ONE)
         np.testing.assert_array_equal(tail[2], z[0])
         assert path_normals(seed=5, first_path=2**64, n_paths=0, count=3, stream=0).shape == (0, 3)
 
