@@ -165,12 +165,18 @@ class TestCommonRandomNumbers:
         assert len(drawn) == calls
 
     @pytest.mark.parametrize("paths", (4096, BLOCK + 37))
-    def test_one_payoff_draws_the_shared_stream_once_per_block(self, monkeypatch, paths):
+    def test_private_streams_draw_per_payoff(self, monkeypatch, paths):
+        """Each payoff alone, and the pair together, draw the shared stream once per block.
+
+        The payoffs no longer have private streams of their own: a payoff priced
+        alone draws the same stream as the pair, and the pair draws it no more often.
+        """
         drawn = _count_path_normals(monkeypatch)
         blocks = math.ceil(paths / BLOCK)
-        for simulate in (simulate_ms, simulate_msln):
+        cfg = McConfig(paths=paths, seed=11)
+        for simulate in (simulate_ms, simulate_msln, _price_pair):
             drawn.clear()
-            simulate(CAP_ONLY, MARKET, McConfig(paths=paths, seed=11))
+            simulate(CAP_ONLY, MARKET, cfg)
             assert drawn == [STREAM_SHARED] * blocks
 
 
