@@ -39,7 +39,6 @@ from .montecarlo import McConfig, McResult, empirical_cumulants, simulate_ms, si
 from .pricer import (
     PriceBreakdown,
     bs_call,
-    bs_put,
     edgeworth_params,
     ms_correction_closed,
     ms_correction_quadrature,
@@ -72,7 +71,6 @@ __all__ = [
     "ValidationReport",
     "aggregate",
     "bs_call",
-    "bs_put",
     "capped_floored_moment_closed",
     "capped_moment_closed",
     "closed_form_moments",

@@ -19,8 +19,10 @@ The keys are the commands' long flags without ``--`` (less ``--config``,
 ignored, so one file serves every command, and ``none`` or an empty value
 keeps the default.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
-3 numerical failure.
+Exit codes: 0 success, 1 validation-suite failure, 2 bad input (an
+input too large for memory included, such as ``--mc-paths 100000000000``;
+a ``sweep`` of more than 10^6 rows is refused up front), 3 numerical
+failure.
 
 ``--threads`` is accepted (it must be at least 1) and has no effect: Monte
 Carlo blocks and sweep rows run serially, so output never depends on it.
@@ -54,6 +56,8 @@ _FIELDS = {"cap": "cap", "floor": "floor", "vol": "sigma", "rate": "rate",
 
 #: Record name -> the EdgeworthParams field it reports, in record order.
 _PARAMS = {"nu": "nu", "v": "v", "eps1": "epsilon1", "y_eff": "y_eff"}
+
+_MAX_SWEEP_ROWS = 10**6  # a longer sweep is refused before its axis values are built
 
 
 def _diag(message: str) -> None:
@@ -180,8 +184,11 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
         raise ValueError(f"sweep range must have from < to, got from={start!r}, to={stop!r}")
     if not step > 0.0:
         raise ValueError(f"sweep step must be positive, got {step!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    values = [start + k * step for k in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_SWEEP_ROWS:  # also an infinite span, which int() cannot take
+        raise ValueError(f"sweep from={start!r} to={stop!r} step={step!r} gives more than "
+                         f"{_MAX_SWEEP_ROWS} values")
+    values = [start + k * step for k in range(int(span) + 1)]
     if len(values) < 2:
         raise ValueError(
             f"sweep needs at least two values, but from={start!r} to={stop!r} step={step!r} "
@@ -380,8 +387,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else 2
-    except (ValueError, OSError) as exc:
-        _diag(str(exc))
+    except (ValueError, OSError, MemoryError) as exc:  # an input too large to hold is bad input
+        _diag(str(exc) or "out of memory")
         return 2
     except ArithmeticError as exc:
         _diag(f"numerical failure: {exc}")

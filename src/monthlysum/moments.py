@@ -98,49 +98,40 @@ def standard_normal_pdf(z):
     return out if isinstance(out, np.ndarray) else float(out)
 
 
-def _monthly_scale(market: MarketParams) -> tuple[float, float]:
-    """Mean and standard deviation (m, s) of the uncapped monthly log return."""
-    s = market.sigma * math.sqrt(market.dt)
-    if s < MIN_MONTHLY_VOL:
-        raise DegenerateVolatilityError(
-            f"sigma*sqrt(dt) = {s:.3e} is below {MIN_MONTHLY_VOL:.0e}; "
-            "closed forms are ill-conditioned, use the Monte Carlo engine"
-        )
-    return market.mu * market.dt, s
-
-
 @dataclass(frozen=True)
 class _TruncationGeometry:
-    """Standardized bound abscissas and the point masses they carry.
+    """The contract standardized against the monthly Gaussian.
 
-    ``c_tilde`` and ``f_tilde`` are (log bound - m)/s; ``cap_mass`` is the
-    probability of the uncapped return exceeding the cap (all of it collapses
-    onto the cap), ``floor_mass`` likewise below the floor. ``mu_tilde`` is
-    the standardized drift m/s = mu*sqrt(dt)/sigma.
+    ``m`` and ``s`` are the mean mu*dt and standard deviation sigma*sqrt(dt)
+    of the uncapped monthly log return. ``c_tilde`` and ``f_tilde`` are
+    (log bound - m)/s; ``cap_mass`` is the probability of the uncapped
+    return exceeding the cap (all of it collapses onto the cap),
+    ``floor_mass`` likewise below the floor.
     """
 
+    m: float
+    s: float
     c_tilde: float
-    mu_tilde: float
     cap_mass: float
     f_tilde: float | None = None
     floor_mass: float | None = None
 
 
 def _truncation_geometry(market: MarketParams, contract: ContractSpec) -> _TruncationGeometry:
-    """Standardize the contract bounds against the monthly Gaussian."""
-    m, s = _monthly_scale(market)
+    """Standardize the contract bounds against the monthly Gaussian, once per contract."""
+    s = market.sigma * math.sqrt(market.dt)
+    if s < MIN_MONTHLY_VOL:
+        raise DegenerateVolatilityError(
+            f"sigma*sqrt(dt) = {s:.3e} is below {MIN_MONTHLY_VOL:.0e}; "
+            "closed forms are ill-conditioned, use the Monte Carlo engine"
+        )
+    m = market.mu * market.dt
     c_tilde = (contract.log_cap - m) / s
     cap_mass = standard_normal_cdf(-c_tilde)
     if contract.floor is None:
-        return _TruncationGeometry(c_tilde=c_tilde, mu_tilde=m / s, cap_mass=cap_mass)
+        return _TruncationGeometry(m, s, c_tilde, cap_mass)
     f_tilde = (contract.log_floor - m) / s
-    return _TruncationGeometry(
-        c_tilde=c_tilde,
-        mu_tilde=m / s,
-        cap_mass=cap_mass,
-        f_tilde=f_tilde,
-        floor_mass=standard_normal_cdf(f_tilde),
-    )
+    return _TruncationGeometry(m, s, c_tilde, cap_mass, f_tilde, standard_normal_cdf(f_tilde))
 
 
 @dataclass(frozen=True)
@@ -163,29 +154,27 @@ class MomentSet:
             )
 
 
-def _quad(fn, lo: float, hi: float, rel_tol: float = QUAD_REL_TOL) -> float:
-    """Adaptive Gauss-Kronrod integration with a convergence check."""
-    from scipy import integrate  # deferred: 0.4 s of import Monte Carlo never needs
-
-    result = integrate.quad(
-        fn, lo, hi, epsabs=1e-16, epsrel=rel_tol, limit=QUAD_SUBDIVISION_LIMIT, full_output=1
-    )
-    if len(result) > 3:
-        # quad appends a message (and possibly an explanation) on trouble
-        raise QuadratureConvergenceError(
-            f"quadrature on [{lo:g}, {hi:g}] did not converge: {result[3]}"
-        )
-    return result[0]
-
-
 def _quad_split(fn, lo: float, hi: float, interior: tuple[float, ...]) -> float:
-    """Integrate piecewise, cutting at interior sign changes of the integrand.
+    """Adaptive Gauss-Kronrod integration, cut at interior sign changes of the integrand.
 
     Sign-definite pieces keep the adaptive scheme from chasing cancellation
-    it cannot resolve at the requested tolerance.
+    it cannot resolve at the requested tolerance. Each piece must converge.
     """
+    from scipy import integrate  # deferred: 0.4 s of import Monte Carlo never needs
+
     cuts = [lo] + [p for p in sorted(interior) if lo < p < hi] + [hi]
-    return sum(_quad(fn, a, b) for a, b in zip(cuts[:-1], cuts[1:]))
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        result = integrate.quad(
+            fn, a, b, epsabs=1e-16, epsrel=QUAD_REL_TOL, limit=QUAD_SUBDIVISION_LIMIT, full_output=1
+        )
+        if len(result) > 3:
+            # quad appends a message (and possibly an explanation) on trouble
+            raise QuadratureConvergenceError(
+                f"quadrature on [{a:g}, {b:g}] did not converge: {result[3]}"
+            )
+        total += result[0]
+    return total
 
 
 def moment_quadrature(n: int, market: MarketParams, contract: ContractSpec) -> float:
@@ -209,9 +198,12 @@ def moment_quadrature(n: int, market: MarketParams, contract: ContractSpec) -> f
     """
     if n not in (1, 2, 3):
         raise ValueError(f"moment order must be 1, 2 or 3, got {n!r}")
-    geo = _truncation_geometry(market, contract)
-    m, s = _monthly_scale(market)
+    return _integrate_moment(n, contract, _truncation_geometry(market, contract))
 
+
+def _integrate_moment(n: int, contract: ContractSpec, geo: _TruncationGeometry) -> float:
+    """I_n by quadrature over the body between the standardized bounds, plus the atoms."""
+    m, s = geo.m, geo.s
     z_hi = min(geo.c_tilde, TAIL_CLIP)
     z_lo = -TAIL_CLIP
     total = contract.log_cap**n * geo.cap_mass
@@ -225,7 +217,7 @@ def moment_quadrature(n: int, market: MarketParams, contract: ContractSpec) -> f
             return x**n * _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
         # odd powers of x = m + s*z flip sign at z = -m/s
-        interior = (-geo.mu_tilde,) if n % 2 else ()
+        interior = (-(m / s),) if n % 2 else ()
         total += _quad_split(integrand, z_lo, z_hi, interior)
     return total
 
@@ -261,15 +253,14 @@ def _closed_moments(
 
         printed = _printed.capped_moments if contract.floor is None else _printed.floored_moments
         return printed(market, contract)
-    m, s = _monthly_scale(market)
     geo = _truncation_geometry(market, contract)
     c, cm = contract.log_cap, geo.cap_mass
-    body = _partial_moments(m, s, geo.c_tilde, standard_normal_cdf(geo.c_tilde))
+    body = _partial_moments(geo.m, geo.s, geo.c_tilde, standard_normal_cdf(geo.c_tilde))
     caps = (c * cm, c * c * cm, c * c * c * cm)
     if contract.floor is None:
         return tuple(p + a for p, a in zip(body, caps))
     f, fm = contract.log_floor, geo.floor_mass
-    below = _partial_moments(m, s, geo.f_tilde, fm)
+    below = _partial_moments(geo.m, geo.s, geo.f_tilde, fm)
     floors = (f * fm, f * f * fm, f * f * f * fm)
     return tuple(p - q + b + a for p, q, b, a in zip(body, below, floors, caps))
 
@@ -318,13 +309,10 @@ def closed_form_moments(
 
 
 def quadrature_moments(market: MarketParams, contract: ContractSpec) -> MomentSet:
-    """All three ground-truth moments by adaptive quadrature."""
-    return MomentSet(
-        i1=moment_quadrature(1, market, contract),
-        i2=moment_quadrature(2, market, contract),
-        i3=moment_quadrature(3, market, contract),
-        provenance="quadrature",
-    )
+    """All three ground-truth moments by adaptive quadrature, on one geometry."""
+    geo = _truncation_geometry(market, contract)
+    i1, i2, i3 = (_integrate_moment(n, contract, geo) for n in (1, 2, 3))
+    return MomentSet(i1=i1, i2=i2, i3=i3, provenance="quadrature")
 
 
 def _is_printed(variant: str) -> bool:

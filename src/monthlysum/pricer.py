@@ -39,7 +39,6 @@ from .moments import (
 __all__ = [
     "PriceBreakdown",
     "bs_call",
-    "bs_put",
     "edgeworth_params",
     "ms_correction_closed",
     "ms_correction_quadrature",
@@ -48,41 +47,19 @@ __all__ = [
 ]
 
 
-def _check_bs_inputs(spot: float, strike: float, vol: float, term: float) -> None:
-    if not spot > 0.0:
-        raise ValueError(f"spot must be positive, got {spot!r}")
-    if not strike > 0.0:
-        raise ValueError(f"strike must be positive, got {strike!r}")
-    if not vol > 0.0:
-        raise ValueError(f"vol must be positive, got {vol!r}")
-    if not term > 0.0:
-        raise ValueError(f"term must be positive, got {term!r}")
-
-
 def bs_call(
     spot: float, strike: float, vol: float, rate: float, div_yield: float, term: float
 ) -> float:
     """Black-Scholes price of a European call on a dividend-paying asset."""
-    _check_bs_inputs(spot, strike, vol, term)
+    for name, value in (("spot", spot), ("strike", strike), ("vol", vol), ("term", term)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
     sq = vol * math.sqrt(term)
     d1 = (math.log(spot / strike) + (rate - div_yield + 0.5 * vol * vol) * term) / sq
     d2 = d1 - sq
     return spot * math.exp(-div_yield * term) * standard_normal_cdf(d1) - strike * math.exp(
         -rate * term
     ) * standard_normal_cdf(d2)
-
-
-def bs_put(
-    spot: float, strike: float, vol: float, rate: float, div_yield: float, term: float
-) -> float:
-    """Black-Scholes price of a European put on a dividend-paying asset."""
-    _check_bs_inputs(spot, strike, vol, term)
-    sq = vol * math.sqrt(term)
-    d1 = (math.log(spot / strike) + (rate - div_yield + 0.5 * vol * vol) * term) / sq
-    d2 = d1 - sq
-    return strike * math.exp(-rate * term) * standard_normal_cdf(-d2) - spot * math.exp(
-        -div_yield * term
-    ) * standard_normal_cdf(-d1)
 
 
 def ms_leading(ep: EdgeworthParams, market: MarketParams) -> float:

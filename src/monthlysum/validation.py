@@ -25,14 +25,16 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .contracts import ContractSpec, MarketParams
+from .edgeworth import aggregate, cumulants_from_moments
 from .moments import (
     CORRECTED,
     PRINTED,
     _closed_moments,
     _is_printed,
-    moment_quadrature,
+    closed_form_moments,
+    quadrature_moments,
 )
-from .pricer import edgeworth_params, ms_correction_closed, ms_correction_quadrature
+from .pricer import ms_correction_closed, ms_correction_quadrature
 
 __all__ = [
     "CORRECTION_REL_TOL",
@@ -186,15 +188,18 @@ def validate_point(
     suffix = "cap" if contract.floor is None else "capfloor"
     formulas = (f"I1_{suffix}", f"I2_{suffix}", f"I3_{suffix}", "ms1_closed")
     tols = (moment_tol, moment_tol, moment_tol, correction_tol)
-    references = [moment_quadrature(n, market, contract) for n in (1, 2, 3)]
-    ep = edgeworth_params(contract, market)
-    references.append(ms_correction_quadrature(ep, market))
+    quad = quadrature_moments(market, contract)
+    mset = closed_form_moments(market, contract)
+    ep = aggregate(cumulants_from_moments(mset), market)
+    references = (quad.i1, quad.i2, quad.i3, ms_correction_quadrature(ep, market))
+
+    # the four closed forms under test, in ``formulas`` order
+    corrected = (mset.i1, mset.i2, mset.i3, ms_correction_closed(ep, market))
 
     def closed(which: str) -> tuple[float, ...]:
-        # the four closed forms under test, in ``formulas`` order
+        # a printed set can imply a nonpositive variance, so it is no MomentSet
         return (*_closed_moments(market, contract, which), ms_correction_closed(ep, market, which))
 
-    corrected = closed(CORRECTED)
     tested = corrected if variant == CORRECTED else closed(variant)
     printed = None
     if collect_discrepancies:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -245,6 +246,25 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "at least two values" in err
         assert "gives 1" in err
+
+    @pytest.mark.parametrize("step", ("1e-320", "1e-13"))
+    def test_too_fine_step_is_bad_input(self, step):
+        # 1e-320 makes the row count infinite; 1e-13 asks for about 10^12 rows.
+        # The address space is capped, so code that built the rows would fail
+        # on a MemoryError rather than take the host's memory.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "monthlysum", "sweep", "--axis", "cap", "--from", "0.001",
+             "--to", "0.1", "--step", step],
+            capture_output=True,
+            timeout=120,
+            env=checkout_env(),
+            preexec_fn=cap_memory,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert b"more than 1000000 values" in proc.stderr
 
     def test_negative_exponent_bounds(self, capsys):
         decimal = run_cli(
@@ -494,6 +514,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "validate")
         assert code == 3
         assert "numerical failure" in err
+
+    def test_out_of_memory_is_two(self, capsys, monkeypatch):
+        # an input too large to hold is bad input, not a validation failure;
+        # the engine is replaced, so nothing is allocated
+        def exhaust(*args):
+            raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+        monkeypatch.setattr(cli, "_run", exhaust)
+        code, out, err = run_cli(capsys, "mc", "--mc-paths", "100000000000")
+        assert (code, out) == (2, "")
+        assert err == "error: Unable to allocate 1.46 TiB for an array\n"
 
     def test_unwritable_output_is_two(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -16,6 +16,50 @@ import pytest
 from checkout import SRC, checkout_env
 
 
+#: The public API. A name added or removed here is a deliberate API change.
+PUBLIC_NAMES = [
+    "ContractSpec",
+    "CumulantSet",
+    "DegenerateVolatilityError",
+    "EdgeworthParams",
+    "GridPoint",
+    "MarketParams",
+    "McConfig",
+    "McResult",
+    "MomentSet",
+    "NonpositiveVarianceError",
+    "PriceBreakdown",
+    "QuadratureConvergenceError",
+    "ValidationReport",
+    "aggregate",
+    "bs_call",
+    "capped_floored_moment_closed",
+    "capped_moment_closed",
+    "closed_form_moments",
+    "cumulants_from_moments",
+    "default_grid",
+    "edgeworth_params",
+    "empirical_cumulants",
+    "moment_quadrature",
+    "ms_correction_closed",
+    "ms_correction_quadrature",
+    "ms_leading",
+    "price_ms",
+    "quadrature_moments",
+    "run_validation",
+    "simulate_ms",
+    "simulate_msln",
+    "write_discrepancy_log",
+]
+
+
+def test_public_names_are_pinned():
+    import monthlysum
+
+    assert monthlysum.__all__ == PUBLIC_NAMES
+    assert all(hasattr(monthlysum, name) for name in PUBLIC_NAMES)
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # a cold `mc` needs no quadrature; `price` loads scipy.integrate at its first one.
     # The package import leaves the CLI (and its parser) unbuilt.

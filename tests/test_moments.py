@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from monthlysum import (
     ContractSpec,
     DegenerateVolatilityError,
+    GridPoint,
     MarketParams,
     MomentSet,
     NonpositiveVarianceError,
@@ -24,6 +25,7 @@ from monthlysum import (
     capped_moment_closed,
     closed_form_moments,
     moment_quadrature,
+    price_ms,
     quadrature_moments,
 )
 from monthlysum.moments import (
@@ -32,10 +34,12 @@ from monthlysum.moments import (
     standard_normal_cdf,
     standard_normal_pdf,
 )
+from monthlysum.validation import validate_point
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
 CAP_ONLY = ContractSpec(cap=0.025)
 CAP_FLOOR = ContractSpec(cap=0.025, floor=-0.05)
+GRID_POINT = GridPoint(sigma=0.20, cap=0.025, floor=-0.05, rate=0.03, div_yield=0.02)
 
 # frozen from the independent Gauss-Legendre oracle
 GOLDEN_CAP_ONLY = (-0.013318488134304939, 0.001938806532444221, -0.00015221021440185516)
@@ -268,6 +272,35 @@ class TestOnePass:
             monkeypatch.setattr(moments, name, counted(getattr(moments, name)))
         closed_form_moments(MARKET, contract)
         assert count == calls
+
+    @pytest.mark.parametrize(
+        "call, builds",
+        (
+            (lambda: quadrature_moments(MARKET, CAP_FLOOR), 1),
+            (lambda: price_ms(CAP_FLOOR, MARKET), 1),
+            # the quadrature set, and the corrected set that also gives the law
+            (lambda: validate_point(GRID_POINT), 2),
+            # and the printed set, which standardizes its own cap
+            (lambda: validate_point(GRID_POINT, PRINTED, collect_discrepancies=True), 3),
+        ),
+        ids=("quadrature_moments", "price_ms", "validate_point", "validate_point-printed"),
+    )
+    def test_geometry_builds(self, monkeypatch, call, builds):
+        # each moment set standardizes its contract once, for all three orders
+        from monthlysum import _printed, moments
+
+        count = 0
+        build = moments._truncation_geometry
+
+        def counted(market, contract):
+            nonlocal count
+            count += 1
+            return build(market, contract)
+
+        for module in (moments, _printed):
+            monkeypatch.setattr(module, "_truncation_geometry", counted)
+        call()
+        assert count == builds
 
 
 class TestPrintedVariants:

@@ -21,7 +21,6 @@ from monthlysum import (
     MarketParams,
     aggregate,
     bs_call,
-    bs_put,
     cumulants_from_moments,
     edgeworth_params,
     ms_correction_closed,
@@ -47,13 +46,6 @@ class TestBlackScholes:
     def test_call_reference_value(self):
         got = bs_call(100.0, 100.0, 0.2, 0.0, 0.0, 1.0)
         assert got == pytest.approx(7.965567455405804, rel=1e-13)
-
-    def test_put_call_parity(self):
-        spot, strike, vol, r, q, t = 105.0, 95.0, 0.3, 0.04, 0.01, 2.0
-        call = bs_call(spot, strike, vol, r, q, t)
-        put = bs_put(spot, strike, vol, r, q, t)
-        forward_leg = spot * math.exp(-q * t) - strike * math.exp(-r * t)
-        assert call - put == pytest.approx(forward_leg, rel=1e-13)
 
     def test_deep_in_the_money_limit(self):
         got = bs_call(100.0, 1e-8, 0.2, 0.03, 0.0, 1.0)
