@@ -76,11 +76,12 @@ def standard_normal_cdf(z):
     Evaluated as 0.5*erfc(-z/sqrt(2)) so the far tails do not suffer the
     cancellation a 0.5*(1 + erf(...)) form would. +inf and -inf map to 1.0
     and 0.0. A scalar gives a float, an array (or sequence) an ndarray; a
-    float goes through the expression as is, with no array built, and its
-    result is bit-identical to the same element of the array route.
+    float builds no array and takes erfc's result as a Python float at once,
+    bit-identical to the same element of the array route.
     """
-    if not isinstance(z, float):
-        z = np.asarray(z)
+    if isinstance(z, float):
+        return 0.5 * float(erfc(-z / _SQRT2))
+    z = np.asarray(z)
     out = 0.5 * erfc(-z / _SQRT2)
     return out if isinstance(out, np.ndarray) else float(out)
 
@@ -88,12 +89,14 @@ def standard_normal_cdf(z):
 def standard_normal_pdf(z):
     """Standard normal density.
 
-    A scalar gives a float, an array (or sequence) an ndarray; a float goes
-    through the expression as is, with no array built, and its result is
+    A scalar gives a float, an array (or sequence) an ndarray; a float
+    builds no array and takes np.exp's result (kept for its bits: math.exp
+    differs in the last bit on some doubles) as a Python float at once,
     bit-identical to the same element of the array route.
     """
-    if not isinstance(z, float):
-        z = np.asarray(z, dtype=float)
+    if isinstance(z, float):
+        return _INV_SQRT_2PI * float(np.exp(-0.5 * z * z))
+    z = np.asarray(z, dtype=float)
     out = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
     return out if isinstance(out, np.ndarray) else float(out)
 

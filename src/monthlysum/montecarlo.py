@@ -11,9 +11,9 @@ Draws come from the counter-based generator in :mod:`monthlysum.rng`, all
 on its one stream :data:`~monthlysum.rng.STREAM_SHARED`, so a path's
 normals are a pure function of (seed, path index). Paths are processed
 serially in fixed blocks of :data:`BLOCK`, and all reductions happen after
-assembly. The ``threads`` argument is accepted (it must be at least 1) and
-has no effect: each block is a run of small numpy calls that hold the GIL
-between them, so a thread pool only added overhead.
+assembly. The ``threads`` argument (an integer of at least 1) has no
+effect: each block is a run of small numpy calls that hold the GIL between
+them, so a thread pool only added overhead.
 
 Both payoffs read the same draws (common random numbers), so their
 difference is a low-variance estimate of the capping-convention gap. The
@@ -169,8 +169,8 @@ def _run(
     over the blocks, as many to a pass as keep its payoffs within
     :data:`_PASS_VALUES`.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads!r}")
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
     per_pass = max(1, _PASS_VALUES // (len(legs) * cfg.paths))
     results: list[tuple[McResult, ...]] = []
     for lo in range(0, len(rows), per_pass):
@@ -219,7 +219,7 @@ def simulate_ms(
 ) -> McResult:
     """Price the contract: discounted max(sum of capped simple returns, 0).
 
-    ``threads`` must be at least 1 and has no effect; blocks run serially.
+    ``threads``, an integer of at least 1, has no effect; blocks run serially.
     """
     return _run(((contract, market),), cfg, (False,), threads)[0][0]
 
@@ -229,7 +229,7 @@ def simulate_msln(
 ) -> McResult:
     """Price the lognormal proxy: discounted max(exp(capped log sum) - 1, 0).
 
-    ``threads`` must be at least 1 and has no effect; blocks run serially.
+    ``threads``, an integer of at least 1, has no effect; blocks run serially.
     """
     return _run(((contract, market),), cfg, (True,), threads)[0][0]
 

@@ -15,11 +15,16 @@ direct quadrature (``ms_correction_quadrature``); the two must agree to
 grid. As with the moment formulas, the closed form carries a ``"printed"``
 variant, in :mod:`monthlysum._printed`, kept only to demonstrate its defect
 (an exponent missing its 1/2).
+
+The quadrature's integrand runs on Python floats: the density keeps np.exp,
+whose bits the exact pins hold, and takes its result as a float once, so
+no node does numpy scalar arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,13 +93,13 @@ def ms_correction_quadrature(ep: EdgeworthParams, market: MarketParams) -> float
     z0 = -a / b
     hi = max(z0, b) + 16.0
 
-    def integrand(z: float) -> float:
+    def integrand(z: float, exp=math.exp, np_exp=np.exp, inv_sqrt_2pi=_INV_SQRT_2PI) -> float:
         # (exp(a + b z) - 1) * H3(z) * standard_normal_pdf(z), with H3(z) =
-        # z(z^2 - 3) and the density inlined in its operation order (np.exp
-        # as there: math.exp can differ in the last bit)
-        return (math.exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * float(
-            _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-        )
+        # z(z^2 - 3) and the density inlined in its operation order: np.exp
+        # for its bits (math.exp can differ in the last bit), then Python-float
+        # arithmetic only; the defaults bind the names once, at definition
+        density = inv_sqrt_2pi * float(np_exp(-0.5 * z * z))
+        return (exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * density
 
     root3 = math.sqrt(3.0)
     j = _quad_split(integrand, z0, hi, (-root3, 0.0, root3))
@@ -167,8 +172,8 @@ def price_ms(
     Args:
         contract: cap and optional floor on the monthly return.
         market: rate, dividend yield, volatility, term and periods.
-        order: 0 for the Gaussian term alone, 1 to add the skewness
-            correction.
+        order: the integer 0 for the Gaussian term alone, 1 to add the
+            skewness correction; a bool or a float is rejected.
         correction: route for the order-1 term, ``"quadrature"`` (default)
             or ``"closed"``.
 
@@ -181,8 +186,9 @@ def price_ms(
         all-months-capped maximum) and, where the capped law is a point
         mass to double precision, fail on a nonpositive variance.
     """
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {order!r}")
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order not in (0, 1):
+        raise ValueError(f"order must be the integer 0 or 1, got {order!r}")
+    order = int(order)
     if correction not in ("quadrature", "closed"):
         raise ValueError(f"correction must be 'quadrature' or 'closed', got {correction!r}")
     if contract.cap <= 0.0:

@@ -366,3 +366,14 @@ class TestConfigGuards:
     def test_thread_minimum(self):
         with pytest.raises(ValueError, match="threads"):
             simulate_ms(CAP_ONLY, MARKET, McConfig(paths=100), threads=0)
+
+    def test_non_integer_threads_rejected(self):
+        cfg = McConfig(paths=100)
+        for simulate in (simulate_ms, simulate_msln):
+            for threads in (True, False, 1.5, 1.0, 0):
+                with pytest.raises(ValueError, match="threads must be an integer of at least 1"):
+                    simulate(CAP_ONLY, MARKET, cfg, threads=threads)
+            # numpy integers stay accepted
+            assert simulate(CAP_ONLY, MARKET, cfg, threads=np.int64(2)) == simulate(
+                CAP_ONLY, MARKET, cfg
+            )

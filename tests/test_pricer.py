@@ -31,7 +31,7 @@ from monthlysum import (
     quadrature_moments,
 )
 from monthlysum.pricer import PriceBreakdown
-from monthlysum.moments import PRINTED
+from monthlysum.moments import PRINTED, standard_normal_pdf
 from monthlysum.validation import CORRECTION_REL_TOL, REL_DENOM_FLOOR
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
@@ -217,6 +217,14 @@ class TestPriceMs:
             price_ms(CAP_ONLY, MARKET, order=2)
         with pytest.raises(ValueError, match="correction"):
             price_ms(CAP_ONLY, MARKET, correction="series")
+        # a value equal to 0 or 1 is not an order: bools and floats are refused
+        for order in (True, False, 1.0, 0.0):
+            with pytest.raises(ValueError, match="order"):
+                price_ms(CAP_ONLY, MARKET, order=order)
+        # numpy integers stay accepted, and report a plain int
+        out = price_ms(CAP_ONLY, MARKET, order=np.int64(0))
+        assert out == price_ms(CAP_ONLY, MARKET, order=0)
+        assert type(out.order) is int
 
 
 def _breakdown(ms0, ms1, total, nu, v, epsilon1, y_eff, term):
@@ -329,6 +337,54 @@ class TestExactPins:
     @pytest.mark.parametrize("contract, market, expected", EXACT_PINS)
     def test_default_breakdown_is_bit_exact(self, contract, market, expected):
         assert price_ms(contract, market) == expected
+
+
+def _correction_integrand(contract, market):
+    """The integrand, lower and upper limit that ms_correction_quadrature hands to _quad_split."""
+    captured = []
+
+    def capture(fn, lo, hi, interior):
+        captured.append((fn, lo, hi))
+        return 0.0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pricer, "_quad_split", capture)
+        ms_correction_quadrature(edgeworth_params(contract, market), market)
+    (found,) = captured
+    return found
+
+
+class TestCorrectionIntegrand:
+    # the integrand is its formula bit for bit, at every node of [z0, hi] and
+    # in the far tail, where the density is subnormal (z > 37.6) or 0 (z > 38.6)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        cap=st.floats(0.005, 0.10),
+        floor=st.one_of(st.none(), st.floats(-0.10, 0.0)),
+        sigma=st.floats(0.05, 0.5),
+        rate=st.floats(0.0, 0.06),
+        div=st.floats(0.0, 0.03),
+        term=st.floats(1.0, 10.0),
+        periods=st.sampled_from((4, 12, 52, 252)),
+        where=st.floats(0.0, 1.0),
+        tail=st.floats(37.0, 40.0),
+    )
+    def test_matches_its_formula_bit_for_bit(
+        self, cap, floor, sigma, rate, div, term, periods, where, tail
+    ):
+        contract = ContractSpec(cap=cap, floor=floor)
+        market = MarketParams(
+            rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
+        )
+        ep = edgeworth_params(contract, market)
+        a = ep.nu * ep.term
+        b = ep.v * math.sqrt(ep.term)
+        integrand, z0, hi = _correction_integrand(contract, market)
+        for z in (z0 + where * (hi - z0), tail):
+            got = integrand(z)
+            want = (math.exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * standard_normal_pdf(z)
+            assert type(got) is float
+            assert got.hex() == want.hex()
 
 
 class TestScalarWork:
