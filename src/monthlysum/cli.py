@@ -37,7 +37,7 @@ import os
 import re
 import sys
 
-from .contracts import ContractSpec, MarketParams
+from .contracts import ContractSpec, MarketParams, _require_integer
 from .montecarlo import _PAIR, McConfig, _run
 from .pricer import price_ms
 from .validation import (
@@ -222,8 +222,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     # before any pricing work starts
     rows_in = [_row_inputs(ns, v) for v in values]
 
-    if ns.threads < 1:
-        raise ValueError(f"threads must be at least 1, got {ns.threads!r}")
+    _require_integer("threads", ns.threads, 1)
     records = []
     for value, (row_contract, row_market) in zip(values, rows_in):
         breakdown = price_ms(row_contract, row_market, order=1)

@@ -18,6 +18,26 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_positive(name: str, value: float) -> None:
+    # written as a range so that a NaN, which compares false, fails too
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_integer(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as a plain int if it is an integer in [lo, hi] (no ``hi``: no upper bound).
+
+    A bool or a float is refused even when it equals one. A numpy integer is
+    converted: the generator's uint64 arithmetic breaks on one.
+    """
+    if not isinstance(value, bool) and isinstance(value, numbers.Integral):
+        value = int(value)
+        if lo <= value and (hi is None or value <= hi):
+            return value
+    bounds = f"of at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Constant-volatility market under the risk-neutral measure.
@@ -45,16 +65,9 @@ class MarketParams:
     def __post_init__(self) -> None:
         _require_finite("rate", self.rate)
         _require_finite("dividend_yield", self.dividend_yield)
-        _require_finite("sigma", self.sigma)
-        _require_finite("term", self.term)
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.term <= 0.0:
-            raise ValueError(f"term must be positive, got {self.term}")
-        periods = self.periods
-        if isinstance(periods, bool) or not isinstance(periods, numbers.Integral) or periods < 1:
-            raise ValueError(f"periods must be an integer >= 1, got {periods!r}")
-        object.__setattr__(self, "periods", int(periods))
+        _require_positive("sigma", self.sigma)
+        _require_positive("term", self.term)
+        object.__setattr__(self, "periods", _require_integer("periods", self.periods, 1))
 
     @property
     def dt(self) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contracts import MarketParams
+from .contracts import MarketParams, _require_positive
 from .errors import NonpositiveVarianceError
 from .moments import MomentSet
 
@@ -78,8 +78,7 @@ class EdgeworthParams:
             raise NonpositiveVarianceError(
                 f"aggregate volatility must be positive, got v={self.v!r}"
             )
-        if not self.term > 0.0:
-            raise ValueError(f"term must be positive, got {self.term!r}")
+        _require_positive("term", self.term)
 
 
 def aggregate(iotas: CumulantSet, market: MarketParams) -> EdgeworthParams:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .contracts import ContractSpec, MarketParams
+from .contracts import ContractSpec, MarketParams, _require_integer
 from .errors import (
     DegenerateVolatilityError,
     NonpositiveVarianceError,
@@ -199,8 +199,7 @@ def moment_quadrature(n: int, market: MarketParams, contract: ContractSpec) -> f
         QuadratureConvergenceError: tolerance not met within the budget.
         DegenerateVolatilityError: sigma*sqrt(dt) below the supported scale.
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"moment order must be 1, 2 or 3, got {n!r}")
+    n = _require_integer("moment order", n, 1, 3)
     return _integrate_moment(n, contract, _truncation_geometry(market, contract))
 
 
@@ -270,8 +269,7 @@ def _closed_moments(
 
 def _closed_moment(n: int, market: MarketParams, contract: ContractSpec, variant: str) -> float:
     """Closed-form I_n: one order of the whole set."""
-    if n not in (1, 2, 3):
-        raise ValueError(f"moment order must be 1, 2 or 3, got {n!r}")
+    n = _require_integer("moment order", n, 1, 3)
     return _closed_moments(market, contract, variant)[n - 1]
 
 
@@ -303,11 +301,9 @@ def capped_floored_moment_closed(
     return _closed_moment(n, market, contract, variant)
 
 
-def closed_form_moments(
-    market: MarketParams, contract: ContractSpec, variant: str = CORRECTED
-) -> MomentSet:
-    """All three closed-form moments from one pass over the truncation geometry."""
-    i1, i2, i3 = _closed_moments(market, contract, variant)
+def closed_form_moments(market: MarketParams, contract: ContractSpec) -> MomentSet:
+    """All three corrected closed-form moments from one pass over the truncation geometry."""
+    i1, i2, i3 = _closed_moments(market, contract, CORRECTED)
     return MomentSet(i1=i1, i2=i2, i3=i3, provenance="closed_form")
 
 

@@ -24,13 +24,12 @@ no node does numpy scalar arithmetic.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._printed import correction_exponent
-from .contracts import ContractSpec, MarketParams
+from .contracts import ContractSpec, MarketParams, _require_integer, _require_positive
 from .edgeworth import EdgeworthParams, aggregate, cumulants_from_moments
 from .moments import (
     _INV_SQRT_2PI,
@@ -57,8 +56,7 @@ def bs_call(
 ) -> float:
     """Black-Scholes price of a European call on a dividend-paying asset."""
     for name, value in (("spot", spot), ("strike", strike), ("vol", vol), ("term", term)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+        _require_positive(name, value)
     sq = vol * math.sqrt(term)
     d1 = (math.log(spot / strike) + (rate - div_yield + 0.5 * vol * vol) * term) / sq
     d2 = d1 - sq
@@ -186,9 +184,7 @@ def price_ms(
         all-months-capped maximum) and, where the capped law is a point
         mass to double precision, fail on a nonpositive variance.
     """
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order not in (0, 1):
-        raise ValueError(f"order must be the integer 0 or 1, got {order!r}")
-    order = int(order)
+    order = _require_integer("order", order, 0, 1)
     if correction not in ("quadrature", "closed"):
         raise ValueError(f"correction must be 'quadrature' or 'closed', got {correction!r}")
     if contract.cap <= 0.0:

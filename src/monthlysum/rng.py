@@ -20,7 +20,8 @@ from the (path, block) grid of the request, path-major, so a short path
 shares its pass with its neighbours and a request of n paths of b blocks
 makes ceil(n * b / _TILE) passes. Every step works in place on the
 calling thread's scratch lane buffers, and the finished words go straight
-into the output.
+into the output. The normals then overwrite their own words, so an odd
+count is returned as a view that leaves one spare column per row.
 
 Uniforms are built from 52 of the 64 bits as ((bits >> 12) + 0.5) * 2^-52,
 every value exactly representable and strictly inside (0, 1), so the
@@ -33,6 +34,8 @@ import threading
 
 import numpy as np
 from scipy.special import ndtri
+
+from .contracts import _require_integer
 
 __all__ = [
     "STREAM_SHARED",
@@ -127,7 +130,8 @@ def path_normals(seed: int, first_path: int, n_paths: int, count: int, stream: i
 
     Returns an (n_paths, count) array whose row for path p is a pure
     function of (seed, p, stream). Each counter block yields two normals,
-    so a path consumes ceil(count / 2) blocks.
+    so a path consumes ceil(count / 2) blocks. For an odd count the array
+    is a view of an (n_paths, count + 1) one, with a spare last column.
 
     Args:
         seed: generator key, 0 <= seed < 2^64.
@@ -139,33 +143,30 @@ def path_normals(seed: int, first_path: int, n_paths: int, count: int, stream: i
             independent draws.
 
     Raises:
-        ValueError: for an argument outside these ranges.
+        ValueError: for an argument that is not an integer in these ranges.
     """
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed!r}")
-    if first_path < 0 or n_paths < 0 or count < 0:
-        raise ValueError("first_path, n_paths and count must be nonnegative")
+    seed = _require_integer("seed", seed, 0, 2**64 - 1)
+    first_path = _require_integer("first_path", first_path, 0)
+    n_paths = _require_integer("n_paths", n_paths, 0)
+    count = _require_integer("count", count, 0)
+    stream = _require_integer("stream", stream, 0, 2**32 - 1)
     if first_path + n_paths > 2**64:
         raise ValueError(
             f"paths [{first_path}, {first_path + n_paths}) exceed the 2^64 path indices"
         )
-    if not 0 <= stream < 2**32:
-        raise ValueError(f"stream must be in [0, 2^32), got {stream!r}")
     words = np.empty((n_paths, count + count % 2), dtype=np.uint64)
-    # an even count's normals overwrite their own words
-    out = None if count % 2 else words.view(np.float64)
-    return _draw_normals(words, out, seed, first_path, count, stream)
+    return _draw_normals(words, seed, first_path, count, stream)
 
 
 def _draw_normals(
-    words: np.ndarray, out: np.ndarray | None, seed: int, first_path: int, count: int, stream: int
+    words: np.ndarray, seed: int, first_path: int, count: int, stream: int
 ) -> np.ndarray:
     """:func:`path_normals` on checked arguments, into the caller's memory.
 
     The raw draws fill ``words``, a C-contiguous uint64 (n_paths,
-    2 * ceil(count / 2)) array; the normals go to ``out`` (which may be
-    ``words``' float64 view when ``count`` is even, or None for a new
-    array) and are returned.
+    2 * ceil(count / 2)) array. The normals overwrite them and are
+    returned as the float64 view ``[:, :count]`` of that memory, which for
+    an odd count leaves one spare column per row.
     """
     n_paths, width = words.shape
     blocks = width // 2
@@ -190,4 +191,5 @@ def _draw_normals(
         np.left_shift(c2, 32, out=tile[:, 1])
         tile[:, 1] |= c3
         _to_unit_interval(tile)
-    return ndtri(words.view(np.float64)[:, :count], out=out)
+    normals = words.view(np.float64)[:, :count]
+    return ndtri(normals, out=normals)

@@ -20,11 +20,10 @@ as JSON lines.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from .contracts import ContractSpec, MarketParams
+from .contracts import ContractSpec, MarketParams, _require_positive
 from .edgeworth import aggregate, cumulants_from_moments
 from .moments import (
     CORRECTED,
@@ -161,12 +160,6 @@ def _rel(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), REL_DENOM_FLOOR)
 
 
-def _check_tol(name: str, tol: float) -> None:
-    # err > nan is never true, so a NaN tolerance would pass every check
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
-
-
 def validate_point(
     point: GridPoint,
     variant: str = CORRECTED,
@@ -181,8 +174,8 @@ def validate_point(
     discrepancy records always compare printed against corrected. Both
     tolerances must be positive and finite.
     """
-    _check_tol("moment_tol", moment_tol)
-    _check_tol("correction_tol", correction_tol)
+    _require_positive("moment_tol", moment_tol)
+    _require_positive("correction_tol", correction_tol)
     market = point.market()
     contract = point.contract()
     suffix = "cap" if contract.floor is None else "capfloor"
@@ -244,7 +237,7 @@ def run_validation(
     """
     printed = _is_printed(variant)
     if tol is not None:
-        _check_tol("tol", tol)
+        _require_positive("tol", tol)
     if grid is None:
         grid = default_grid()
     moment_tol = MOMENT_REL_TOL if tol is None else tol

@@ -105,6 +105,18 @@ def test_no_module_imports_concurrent_futures():
             assert not module.startswith("concurrent"), f"{path.name} imports {module}"
 
 
+def test_only_contracts_holds_the_integer_rule():
+    # contracts._require_integer is the one integer check: a copy elsewhere
+    # drifts from it, as the moment order's copies had
+    sources = sorted((SRC / "monthlysum").glob("*.py"))
+    users = [
+        path.name
+        for path in sources
+        if "numbers" in _imported_modules(path) or "Integral" in path.read_text(encoding="utf-8")
+    ]
+    assert users == ["contracts.py"]
+
+
 def _package_imports(tree: ast.AST):
     """(module, name, local) per name a file imports from monthlysum.
 

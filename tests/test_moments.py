@@ -30,6 +30,7 @@ from monthlysum import (
 )
 from monthlysum.moments import (
     PRINTED,
+    _closed_moments,
     _truncation_geometry,
     standard_normal_cdf,
     standard_normal_pdf,
@@ -244,12 +245,11 @@ class TestOnePass:
         contract = ContractSpec(cap=cap, floor=floor)
         fn = capped_moment_closed if floor is None else capped_floored_moment_closed
         orders = tuple(fn(n, market, contract, variant) for n in (1, 2, 3))
-        try:
-            mset = closed_form_moments(market, contract, variant)
-        except NonpositiveVarianceError:
-            # the printed forms can imply a nonpositive variance
-            assert variant == PRINTED and orders[1] - orders[0] * orders[0] <= 0.0
+        if variant == PRINTED:
+            # the printed forms can imply a nonpositive variance, so no MomentSet
+            assert _closed_moments(market, contract, PRINTED) == orders
         else:
+            mset = closed_form_moments(market, contract)
             assert (mset.i1, mset.i2, mset.i3) == orders
 
     @pytest.mark.parametrize("contract, calls", ((CAP_ONLY, 3), (CAP_FLOOR, 5)))
@@ -328,9 +328,17 @@ class TestPrintedVariants:
 
 class TestApiGuards:
     def test_moment_order_checked(self):
-        for fn in (capped_moment_closed, moment_quadrature):
-            with pytest.raises(ValueError, match="order"):
-                fn(4, MARKET, CAP_ONLY)
+        calls = (
+            (capped_moment_closed, CAP_ONLY),
+            (moment_quadrature, CAP_ONLY),
+            (capped_floored_moment_closed, CAP_FLOOR),
+        )
+        for fn, contract in calls:
+            # a bool or a float equal to an order is not one
+            for n in (True, 1.0, 0, 4):
+                with pytest.raises(ValueError, match="order"):
+                    fn(n, MARKET, contract)
+            assert fn(np.int64(2), MARKET, contract) == fn(2, MARKET, contract)
 
     def test_contract_kind_dispatch_guarded(self):
         with pytest.raises(ValueError):

@@ -39,9 +39,9 @@ def _count_path_normals(monkeypatch) -> list[int]:
     streams: list[int] = []
     draw = montecarlo._draw_normals
 
-    def counted(words, out, seed, first_path, count, stream):
+    def counted(words, seed, first_path, count, stream):
         streams.append(stream)
-        return draw(words, out, seed, first_path, count, stream)
+        return draw(words, seed, first_path, count, stream)
 
     monkeypatch.setattr(montecarlo, "_draw_normals", counted)
     return streams
@@ -228,7 +228,7 @@ class TestSharedPasses:
 class TestAntithetic:
     def test_pairs_mirror_the_base_draws(self):
         cfg = McConfig(paths=8, seed=3, antithetic=True)
-        z = montecarlo._block_normals(cfg, MARKET, 0, 8)
+        z = montecarlo._block_normals(cfg, MARKET.periods, 0, 8)
         base = path_normals(3, 0, 4, MARKET.periods, STREAM_SHARED)
         np.testing.assert_array_equal(z[0::2], base)
         np.testing.assert_array_equal(z[1::2], -base)
@@ -257,12 +257,9 @@ class TestAntithetic:
 class TestScratch:
     @pytest.mark.parametrize("periods, antithetic", ((12, False), (13, False), (12, True)))
     def test_blocks_reuse_the_thread_scratch(self, periods, antithetic):
-        market = MarketParams(
-            rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=periods
-        )
         cfg = McConfig(paths=2 * BLOCK, seed=5, antithetic=antithetic)
-        first = montecarlo._block_normals(cfg, market, 0, BLOCK)
-        second = montecarlo._block_normals(cfg, market, BLOCK, 2 * BLOCK)
+        first = montecarlo._block_normals(cfg, periods, 0, BLOCK)
+        second = montecarlo._block_normals(cfg, periods, BLOCK, 2 * BLOCK)
         assert np.shares_memory(first, second)
         if not antithetic:
             fresh = path_normals(5, BLOCK, BLOCK, periods, STREAM_SHARED)

@@ -57,6 +57,10 @@ class TestBlackScholes:
         kwargs[field] = 0.0
         with pytest.raises(ValueError, match=field):
             bs_call(**kwargs)
+        # an infinite spot used to price as inf
+        kwargs[field] = math.inf
+        with pytest.raises(ValueError, match=field):
+            bs_call(**kwargs)
 
 
 class TestLeadingTerm:
