@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 
 def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
+    # a bool is an int, but True is not a rate or a cap
+    if isinstance(value, bool) or not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _require_positive(name: str, value: float) -> None:
     # written as a range so that a NaN, which compares false, fails too
-    if not 0.0 < value < math.inf:
+    if isinstance(value, bool) or not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 

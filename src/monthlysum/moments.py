@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import erfc
 
 from .contracts import ContractSpec, MarketParams, _require_integer
@@ -70,35 +69,20 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def standard_normal_cdf(z):
-    """Standard normal CDF, accurate to about 1e-15 absolute everywhere.
+def standard_normal_cdf(z: float) -> float:
+    """Standard normal CDF of a scalar, accurate to about 1e-15 absolute everywhere.
 
     Evaluated as 0.5*erfc(-z/sqrt(2)) so the far tails do not suffer the
     cancellation a 0.5*(1 + erf(...)) form would. +inf and -inf map to 1.0
-    and 0.0. A scalar gives a float, an array (or sequence) an ndarray; a
-    float builds no array and takes erfc's result as a Python float at once,
-    bit-identical to the same element of the array route.
+    and 0.0. scipy's erfc is kept over math.erfc, which rounds some
+    arguments differently and would move pinned output.
     """
-    if isinstance(z, float):
-        return 0.5 * float(erfc(-z / _SQRT2))
-    z = np.asarray(z)
-    out = 0.5 * erfc(-z / _SQRT2)
-    return out if isinstance(out, np.ndarray) else float(out)
+    return 0.5 * float(erfc(-z / _SQRT2))
 
 
-def standard_normal_pdf(z):
-    """Standard normal density.
-
-    A scalar gives a float, an array (or sequence) an ndarray; a float
-    builds no array and takes np.exp's result (kept for its bits: math.exp
-    differs in the last bit on some doubles) as a Python float at once,
-    bit-identical to the same element of the array route.
-    """
-    if isinstance(z, float):
-        return _INV_SQRT_2PI * float(np.exp(-0.5 * z * z))
-    z = np.asarray(z, dtype=float)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    return out if isinstance(out, np.ndarray) else float(out)
+def standard_normal_pdf(z: float) -> float:
+    """Standard normal density of a scalar, on math.exp, whose bits no numpy CPU dispatch moves."""
+    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
 @dataclass(frozen=True)

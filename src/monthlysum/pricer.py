@@ -15,10 +15,6 @@ direct quadrature (``ms_correction_quadrature``); the two must agree to
 grid. As with the moment formulas, the closed form carries a ``"printed"``
 variant, in :mod:`monthlysum._printed`, kept only to demonstrate its defect
 (an exponent missing its 1/2).
-
-The quadrature's integrand runs on Python floats: the density keeps np.exp,
-whose bits the exact pins hold, and takes its result as a float once, so
-no node does numpy scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -26,18 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._printed import correction_exponent
 from .contracts import ContractSpec, MarketParams, _require_integer, _require_positive
 from .edgeworth import EdgeworthParams, aggregate, cumulants_from_moments
 from .moments import (
-    _INV_SQRT_2PI,
     CORRECTED,
     _is_printed,
     _quad_split,
     closed_form_moments,
     standard_normal_cdf,
+    standard_normal_pdf,
 )
 
 __all__ = [
@@ -91,13 +85,9 @@ def ms_correction_quadrature(ep: EdgeworthParams, market: MarketParams) -> float
     z0 = -a / b
     hi = max(z0, b) + 16.0
 
-    def integrand(z: float, exp=math.exp, np_exp=np.exp, inv_sqrt_2pi=_INV_SQRT_2PI) -> float:
-        # (exp(a + b z) - 1) * H3(z) * standard_normal_pdf(z), with H3(z) =
-        # z(z^2 - 3) and the density inlined in its operation order: np.exp
-        # for its bits (math.exp can differ in the last bit), then Python-float
-        # arithmetic only; the defaults bind the names once, at definition
-        density = inv_sqrt_2pi * float(np_exp(-0.5 * z * z))
-        return (exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * density
+    def integrand(z: float) -> float:
+        # H3(z) = z(z^2 - 3)
+        return (math.exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * standard_normal_pdf(z)
 
     root3 = math.sqrt(3.0)
     j = _quad_split(integrand, z0, hi, (-root3, 0.0, root3))

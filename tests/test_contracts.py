@@ -84,3 +84,30 @@ class TestContractSpec:
             ContractSpec(cap=float("nan"))
         with pytest.raises(ValueError):
             ContractSpec(cap=0.025, floor=float("-inf"))
+
+
+class TestBoolFloats:
+    # a bool is an int to Python, but True is not a 100% cap or a 1-year term
+    @pytest.mark.parametrize("value", (True, False))
+    @pytest.mark.parametrize("field", ("rate", "dividend_yield", "sigma", "term"))
+    def test_market_field_rejects_a_bool(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_market(**{field: value})
+
+    def test_contract_bounds_reject_a_bool(self):
+        with pytest.raises(ValueError, match="cap"):
+            ContractSpec(cap=True)
+        with pytest.raises(ValueError, match="floor"):
+            ContractSpec(cap=0.05, floor=False)
+
+    def test_plain_ints_stay_accepted(self):
+        assert make_market(rate=0, dividend_yield=0, sigma=1, term=1).term == 1
+        assert ContractSpec(cap=1, floor=0).floor == 0
+
+    def test_call_and_tolerance_reject_a_bool(self):
+        from monthlysum import bs_call, run_validation
+
+        with pytest.raises(ValueError, match="spot"):
+            bs_call(True, 1.0, 0.2, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="tol"):
+            run_validation(tol=True)

@@ -105,6 +105,14 @@ def test_no_module_imports_concurrent_futures():
             assert not module.startswith("concurrent"), f"{path.name} imports {module}"
 
 
+@pytest.mark.parametrize("name", ("moments.py", "pricer.py"))
+def test_closed_form_imports_no_numpy(name):
+    # the closed form is scalar: its normal density is math.exp, so a price
+    # does not depend on which exp kernel numpy dispatches to
+    modules = _imported_modules(SRC / "monthlysum" / name)
+    assert not [m for m in modules if m == "numpy" or m.startswith("numpy.")]
+
+
 def test_only_contracts_holds_the_integer_rule():
     # contracts._require_integer is the one integer check: a copy elsewhere
     # drifts from it, as the moment order's copies had

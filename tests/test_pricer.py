@@ -8,7 +8,11 @@ module was written.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +37,8 @@ from monthlysum import (
 from monthlysum.pricer import PriceBreakdown
 from monthlysum.moments import PRINTED, standard_normal_pdf
 from monthlysum.validation import CORRECTION_REL_TOL, REL_DENOM_FLOOR
+
+from checkout import checkout_env
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
 CAP_ONLY = ContractSpec(cap=0.025)
@@ -260,8 +266,9 @@ EXACT_PINS = (
     ),
     # six draws from the benchmark's quote ranges (random.Random(2026), draws
     # 7, 16, 46, 48, 52, 69): every period count, with and without a floor,
-    # each one whose price moves when some integrand values move by an ulp
-    # (checked by evaluating the density with math.exp instead of np.exp)
+    # each a sentinel where libm's exp (math.exp, which the density uses) and
+    # numpy's AVX-512 (X86_V4) exp differ in the last bit, so these prices
+    # would move if the density went back to np.exp on an AVX-512 host
     (
         ContractSpec(cap=0.05858001226925958),
         MarketParams(
@@ -269,8 +276,8 @@ EXACT_PINS = (
             sigma=0.3089823082166626, term=7.892436907894832, periods=4,
         ),
         _breakdown(
-            0.028277118562140532, -0.017743735571121067, 0.010533382991019465,
-            -0.09828679404488486, 0.2128514751749929, -0.10125793227717343,
+            0.028277118562140532, -0.01774373557112107, 0.010533382991019462,
+            -0.09828679404488487, 0.2128514751749929, -0.10125793227717347,
             0.10641088390743336, 7.892436907894832,
         ),
     ),
@@ -281,9 +288,9 @@ EXACT_PINS = (
             sigma=0.17084139735113607, term=7.818952729692134, periods=52,
         ),
         _breakdown(
-            0.036812821486610525, -0.0005799858709268988, 0.03623283561568363,
-            -0.04698581058573512, 0.13254859190478857, -0.004442786841847753,
-            0.04088079055410569, 7.818952729692134,
+            0.03681282148661044, -0.0005799858709269001, 0.036232835615683544,
+            -0.04698581058573512, 0.13254859190478854, -0.004442786841847765,
+            0.0408807905541057, 7.818952729692134,
         ),
     ),
     (
@@ -293,7 +300,7 @@ EXACT_PINS = (
             sigma=0.311260865185314, term=2.691120456342756, periods=252,
         ),
         _breakdown(
-            0.15008551870350534, -0.0002829089247764554, 0.1498026097787289,
+            0.15008551870350534, -0.00028290892477645535, 0.1498026097787289,
             -0.07010806131674091, 0.3048180419598113, -0.0013431482766809507,
             0.05209480144938232, 2.691120456342756,
         ),
@@ -305,7 +312,7 @@ EXACT_PINS = (
             sigma=0.3827840331594511, term=9.989301734652797, periods=4,
         ),
         _breakdown(
-            0.024849309259840247, 0.00021874861135437088, 0.025068057871194618,
+            0.024849309259840247, 0.00021874861135437096, 0.025068057871194618,
             -0.0030330679140799024, 0.03923053393249446, 0.018298566683659354,
             0.04612404766387205, 9.989301734652797,
         ),
@@ -317,8 +324,8 @@ EXACT_PINS = (
             sigma=0.3975665715035591, term=7.988277657413528, periods=12,
         ),
         _breakdown(
-            0.014453517957935237, -0.008471026226236794, 0.005982491731698443,
-            -0.15940168200503416, 0.27428392863813505, -0.05827572101797351,
+            0.014453517957935237, -0.008471026226236798, 0.005982491731698439,
+            -0.15940168200503416, 0.27428392863813505, -0.05827572101797353,
             0.17813888383980153, 7.988277657413528,
         ),
     ),
@@ -329,18 +336,54 @@ EXACT_PINS = (
             sigma=0.2376675756299721, term=5.696207323150805, periods=12,
         ),
         _breakdown(
-            0.25910508930240306, -0.00021822541267764383, 0.2588868638897254,
-            0.045936131184034015, 0.07983353899019442, 0.010518566647813364,
-            -0.006791874987771047, 5.696207323150805,
+            0.2591050893024033, -0.00021822541267764534, 0.25888686388972565,
+            0.04593613118403405, 0.07983353899019442, 0.010518566647813447,
+            -0.006791874987771082, 5.696207323150805,
         ),
     ),
 )
+
+
+#: numpy's AVX-512 kernels, switched off; naming one the CPU lacks is accepted
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+#: prices each (contract, market) pair read from stdin, as PriceBreakdown dicts
+PRICE_STDIN = (
+    "import dataclasses, json, sys\n"
+    "from monthlysum import ContractSpec, MarketParams, price_ms\n"
+    "pairs = json.load(sys.stdin)\n"
+    "out = [price_ms(ContractSpec(**c), MarketParams(**m)) for c, m in pairs]\n"
+    "print(json.dumps([dataclasses.asdict(b) for b in out]))\n"
+)
+
+
+def _hexed(value):
+    """``value`` with every float, nested in dicts too, as its float.hex."""
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    return value.hex() if isinstance(value, float) else value
 
 
 class TestExactPins:
     @pytest.mark.parametrize("contract, market, expected", EXACT_PINS)
     def test_default_breakdown_is_bit_exact(self, contract, market, expected):
         assert price_ms(contract, market) == expected
+
+    def test_prices_do_not_depend_on_numpys_exp_kernel(self):
+        # the same eight breakdowns, bit for bit, with numpy's AVX-512 exp off
+        pairs = [[dataclasses.asdict(c), dataclasses.asdict(m)] for c, m, _ in EXACT_PINS]
+        proc = subprocess.run(
+            [sys.executable, "-c", PRICE_STDIN],
+            input=json.dumps(pairs),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=dict(checkout_env(), NPY_DISABLE_CPU_FEATURES=NO_AVX512),
+        )
+        got = [_hexed(b) for b in json.loads(proc.stdout)]
+        want = [_hexed(dataclasses.asdict(price_ms(c, m))) for c, m, _ in EXACT_PINS]
+        assert got == want
 
 
 def _correction_integrand(contract, market):
