@@ -147,7 +147,7 @@ def _quad_split(fn, lo: float, hi: float, interior: tuple[float, ...]) -> float:
     Sign-definite pieces keep the adaptive scheme from chasing cancellation
     it cannot resolve at the requested tolerance. Each piece must converge.
     """
-    from scipy import integrate  # deferred: 0.4 s of import Monte Carlo never needs
+    from scipy import integrate  # deferred: 0.4 s of import only the quadrature oracle needs
 
     cuts = [lo] + [p for p in sorted(interior) if lo < p < hi] + [hi]
     total = 0.0

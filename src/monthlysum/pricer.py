@@ -9,8 +9,9 @@ then splits into two discounted pieces:
 * a first-order skewness correction, epsilon1 times the payoff integrated
   against the H3 perturbation of the Gaussian density.
 
-The correction integral has a closed form (``ms_correction_closed``) and a
-direct quadrature (``ms_correction_quadrature``); the two must agree to
+The correction integral has a closed form (``ms_correction_closed``),
+which ``price_ms`` uses by default, and a direct quadrature
+(``ms_correction_quadrature``), kept as its oracle; the two must agree to
 1e-8 relative, and the validation suite enforces that across the parameter
 grid. As with the moment formulas, the closed form carries a ``"printed"``
 variant, in :mod:`monthlysum._printed`, kept only to demonstrate its defect
@@ -153,7 +154,7 @@ def price_ms(
     contract: ContractSpec,
     market: MarketParams,
     order: int = 1,
-    correction: str = "quadrature",
+    correction: str = "closed",
 ) -> PriceBreakdown:
     """Value the monthly-sum contract by cumulant expansion.
 
@@ -162,8 +163,9 @@ def price_ms(
         market: rate, dividend yield, volatility, term and periods.
         order: the integer 0 for the Gaussian term alone, 1 to add the
             skewness correction; a bool or a float is rejected.
-        correction: route for the order-1 term, ``"quadrature"`` (default)
-            or ``"closed"``.
+        correction: route for the order-1 term, ``"closed"`` (default) or
+            ``"quadrature"``, the oracle the closed form is validated
+            against, which the CLI still names to keep its pinned stdout.
 
     Returns:
         The price breakdown. When the cap is nonpositive every capped

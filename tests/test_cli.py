@@ -82,7 +82,8 @@ class TestPrice:
             periods=rec["months"],
         )
         contract = ContractSpec(cap=rec["cap"], floor=rec["floor"])
-        again = price_ms(contract, market, order=rec["order"])
+        # price prints the quadrature correction route
+        again = price_ms(contract, market, order=rec["order"], correction="quadrature")
         assert again.ms0 == rec["ms0"]
         assert again.ms1 == rec["ms1"]
         assert again.total == rec["total"]

@@ -87,6 +87,29 @@ def test_import_leaves_scipy_stats_unloaded():
     assert states == "False [[False, False], [False, False], [False, True]]"
 
 
+def test_default_price_leaves_scipy_integrate_unloaded():
+    # price_ms defaults to the closed correction, so a quote, cap-only or
+    # floored, at either order, never reaches the quadrature oracle
+    probe = (
+        "import sys, monthlysum\n"
+        "from monthlysum import ContractSpec, MarketParams, price_ms\n"
+        "market = MarketParams(0.03, 0.02, 0.2, 1.0, 12)\n"
+        "for contract in (ContractSpec(cap=0.025), ContractSpec(cap=0.025, floor=-0.05)):\n"
+        "    price_ms(contract, market)\n"
+        "    price_ms(contract, market, order=0)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env=checkout_env(),
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 def _imported_modules(path: Path) -> set[str]:
     names: set[str] = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

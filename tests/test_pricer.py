@@ -169,7 +169,7 @@ class TestPriceMs:
         market = MarketParams(
             rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
         )
-        quad = price_ms(contract, market).ms1
+        quad = price_ms(contract, market, correction="quadrature").ms1
         closed = price_ms(contract, market, correction="closed").ms1
         # measured as the validation suite measures it, with its floor under |quad|
         assert abs(closed - quad) <= CORRECTION_REL_TOL * max(abs(quad), REL_DENOM_FLOOR)
@@ -242,9 +242,9 @@ def _breakdown(ms0, ms1, total, nu, v, epsilon1, y_eff, term):
     return PriceBreakdown(ms0=ms0, ms1=ms1, total=total, order=1, params=ep)
 
 
-# whole results of price_ms at its defaults (quadrature correction),
-# compared with ==, so any changed bit of the integrand or the closed form
-# fails these
+# whole results of price_ms on the quadrature correction route, the one
+# `price` and `sweep` print, compared with ==, so any changed bit of the
+# integrand or the closed form fails these
 EXACT_PINS = (
     (
         CAP_ONLY,
@@ -343,16 +343,32 @@ EXACT_PINS = (
     ),
 )
 
+#: (ms1, total) of price_ms at its defaults (the closed correction) at the
+#: same eight inputs, as float.hex; ms0 and params equal EXACT_PINS', and
+#: contract2's two routes agree to the bit
+CLOSED_PINS = (
+    ("-0x1.0683087782ccfp-9", "0x1.118a45b2d88ccp-7"),
+    ("-0x1.b021c328d02abp-12", "0x1.8caff6cc13d2bp-7"),
+    ("-0x1.22b69eff2855ep-6", "0x1.59286bbb38cfcp-7"),
+    ("-0x1.301462c83d453p-11", "0x1.28d1c38057b1bp-5"),
+    ("-0x1.28a6c9464b088p-12", "0x1.32cbb5eed739ap-3"),
+    ("0x1.cabfc437ceb75p-13", "0x1.9ab70e2ec8f87p-6"),
+    ("-0x1.15941e4d78ae1p-7", "0x1.88118e5613826p-8"),
+    ("-0x1.c9a6e056e3a21p-13", "0x1.0919a35714dd3p-2"),
+)
+
 
 #: numpy's AVX-512 kernels, switched off; naming one the CPU lacks is accepted
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
-#: prices each (contract, market) pair read from stdin, as PriceBreakdown dicts
+#: prices each (contract, market) pair read from stdin on the quadrature
+#: route and at the defaults, as PriceBreakdown dicts
 PRICE_STDIN = (
     "import dataclasses, json, sys\n"
     "from monthlysum import ContractSpec, MarketParams, price_ms\n"
-    "pairs = json.load(sys.stdin)\n"
-    "out = [price_ms(ContractSpec(**c), MarketParams(**m)) for c, m in pairs]\n"
+    "pairs = [(ContractSpec(**c), MarketParams(**m)) for c, m in json.load(sys.stdin)]\n"
+    "out = [price_ms(c, m, correction='quadrature') for c, m in pairs]\n"
+    "out += [price_ms(c, m) for c, m in pairs]\n"
     "print(json.dumps([dataclasses.asdict(b) for b in out]))\n"
 )
 
@@ -364,13 +380,31 @@ def _hexed(value):
     return value.hex() if isinstance(value, float) else value
 
 
+def _closed_pin(expected, pin):
+    """EXACT_PINS' breakdown with the closed route's (ms1, total) from CLOSED_PINS."""
+    ms1, total = (float.fromhex(x) for x in pin)
+    return dataclasses.replace(expected, ms1=ms1, total=total)
+
+
 class TestExactPins:
+    # the quadrature route's pins (EXACT_PINS)
     @pytest.mark.parametrize("contract, market, expected", EXACT_PINS)
     def test_default_breakdown_is_bit_exact(self, contract, market, expected):
-        assert price_ms(contract, market) == expected
+        assert price_ms(contract, market, correction="quadrature") == expected
+
+    @pytest.mark.parametrize(
+        "contract, market, expected, pin",
+        [pins + (closed,) for pins, closed in zip(EXACT_PINS, CLOSED_PINS)],
+    )
+    def test_closed_default_breakdown_is_bit_exact(self, contract, market, expected, pin):
+        got = price_ms(contract, market)
+        assert got == price_ms(contract, market, correction="closed")
+        want = _closed_pin(expected, pin)
+        assert _hexed(dataclasses.asdict(got)) == _hexed(dataclasses.asdict(want))
 
     def test_prices_do_not_depend_on_numpys_exp_kernel(self):
-        # the same eight breakdowns, bit for bit, with numpy's AVX-512 exp off
+        # the same sixteen breakdowns, both routes, bit for bit, with numpy's
+        # AVX-512 exp off
         pairs = [[dataclasses.asdict(c), dataclasses.asdict(m)] for c, m, _ in EXACT_PINS]
         proc = subprocess.run(
             [sys.executable, "-c", PRICE_STDIN],
@@ -382,8 +416,9 @@ class TestExactPins:
             env=dict(checkout_env(), NPY_DISABLE_CPU_FEATURES=NO_AVX512),
         )
         got = [_hexed(b) for b in json.loads(proc.stdout)]
-        want = [_hexed(dataclasses.asdict(price_ms(c, m))) for c, m, _ in EXACT_PINS]
-        assert got == want
+        want = [price_ms(c, m, correction="quadrature") for c, m, _ in EXACT_PINS]
+        want += [price_ms(c, m) for c, m, _ in EXACT_PINS]
+        assert got == [_hexed(dataclasses.asdict(b)) for b in want]
 
 
 def _correction_integrand(contract, market):
@@ -455,9 +490,9 @@ class TestScalarWork:
         def counting_quad_split(fn, *args):
             return quad_split(counted("integrand", fn), *args)
 
-        price_ms(contract, MARKET)  # warm any lazy imports first
+        price_ms(contract, MARKET, correction="quadrature")  # warm any lazy imports first
         monkeypatch.setattr(np, "asarray", counted("asarray", np.asarray))
         monkeypatch.setattr(np, "ndim", counted("ndim", np.ndim))
         monkeypatch.setattr(pricer, "_quad_split", counting_quad_split)
-        price_ms(contract, MARKET)
+        price_ms(contract, MARKET, correction="quadrature")
         assert counts == {"asarray": 0, "ndim": 0, "integrand": 168}
