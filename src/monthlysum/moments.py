@@ -200,7 +200,7 @@ def _integrate_moment(n: int, contract: ContractSpec, geo: _TruncationGeometry) 
     if z_hi > z_lo:
         def integrand(z: float) -> float:
             x = m + s * z
-            return x**n * _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+            return x**n * standard_normal_pdf(z)
 
         # odd powers of x = m + s*z flip sign at z = -m/s
         interior = (-(m / s),) if n % 2 else ()

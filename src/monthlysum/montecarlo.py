@@ -10,8 +10,9 @@ Two payoffs are simulated on the same monthly Gaussian draws:
 Draws come from the counter-based generator in :mod:`monthlysum.rng`, all
 on its one stream :data:`~monthlysum.rng.STREAM_SHARED`, so a path's
 normals are a pure function of (seed, path index). Paths are processed
-serially in fixed blocks of :data:`BLOCK`, and all reductions happen after
-assembly. A block's normals overwrite its raw words in the thread's
+serially in fixed blocks of :data:`BLOCK`; one generator walks them for
+the prices and the cumulant estimates alike, and all reductions happen
+after assembly. A block's normals overwrite its raw words in the thread's
 scratch, leaving a spare column per row for an odd period count. The
 ``threads`` argument (an integer of at least 1) has no effect: each block
 is a run of small numpy calls that hold the GIL between them, so a thread
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -92,23 +93,6 @@ class McResult:
     paths_used: int
 
 
-def _block_normals(cfg: McConfig, count: int, start: int, stop: int) -> np.ndarray:
-    """``count`` monthly normals for each path in [start, stop), honoring antithetic pairing.
-
-    They live in the thread's scratch until its next block is drawn.
-    """
-    first, n_paths = (start // 2, (stop - start) // 2) if cfg.antithetic else (start, stop - start)
-    words = _scratch_array("words", (n_paths, count + count % 2), np.uint64)
-    base = _draw_normals(words, cfg.seed, first, count, STREAM_SHARED)
-    if not cfg.antithetic:
-        return base
-    # pair k occupies paths 2k and 2k+1; the odd path mirrors the even one
-    z = _scratch_array("pairs", (stop - start, count), np.float64)
-    z[0::2] = base
-    np.negative(base, out=z[1::2])
-    return z
-
-
 def _capped_sums(
     contract: ContractSpec,
     market: MarketParams,
@@ -139,6 +123,27 @@ def _capped_sums(
     return x.sum(axis=1)
 
 
+def _blocks(cfg: McConfig, count: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(start, stop, z)`` per block: ``count`` monthly normals for each path in [start, stop).
+
+    The blocks cover the paths in order, :data:`BLOCK` at a time, with
+    antithetic pairing applied. ``z`` lives in the thread's scratch until
+    the next block is drawn.
+    """
+    paths_per_row = 2 if cfg.antithetic else 1
+    for start in range(0, cfg.paths, BLOCK):
+        stop = min(start + BLOCK, cfg.paths)
+        n_rows = (stop - start) // paths_per_row
+        words = _scratch_array("words", (n_rows, count + count % 2), np.uint64)
+        z = _draw_normals(words, cfg.seed, start // paths_per_row, count, STREAM_SHARED)
+        if cfg.antithetic:
+            # pair k occupies paths 2k and 2k+1; the odd path mirrors the even one
+            base, z = z, _scratch_array("pairs", (stop - start, count), np.float64)
+            z[0::2] = base
+            np.negative(base, out=z[1::2])
+        yield start, stop, z
+
+
 def _run(
     rows: Sequence[tuple[ContractSpec, MarketParams]],
     cfg: McConfig,
@@ -147,51 +152,38 @@ def _run(
 ) -> list[tuple[McResult, ...]]:
     """Price each leg of every (contract, market) row; a leg is its log-payoff flag.
 
-    Returns one tuple of results per row, in leg order. Rows share passes
-    over the blocks, as many to a pass as keep its payoffs within
-    :data:`_PASS_VALUES`.
+    Returns one tuple of results per row, in leg order. The rows are cut
+    into passes, as many to a pass as keep its payoffs within
+    :data:`_PASS_VALUES`. A pass draws each block once, at the widest
+    period count among its rows, and each row reads its leading
+    ``periods`` columns: a path's normals do not depend on how many are
+    drawn. Only the last (leg, row) of a pass works on the block in place.
     """
     _require_integer("threads", threads, 1)
     per_pass = max(1, _PASS_VALUES // (len(legs) * cfg.paths))
     results: list[tuple[McResult, ...]] = []
     for lo in range(0, len(rows), per_pass):
-        results.extend(_pass(rows[lo : lo + per_pass], cfg, legs))
-    return results
+        chunk = rows[lo : lo + per_pass]
+        payoffs = np.empty((len(chunk), len(legs), cfg.paths), dtype=np.float64)
+        last = (len(legs) - 1, len(chunk) - 1)
+        for start, stop, z in _blocks(cfg, max(market.periods for _, market in chunk)):
+            for i, log_payoff in enumerate(legs):
+                for r, (contract, market) in enumerate(chunk):
+                    sums = _capped_sums(
+                        contract, market, z[:, : market.periods], log_payoff, (i, r) == last
+                    )
+                    if log_payoff:
+                        np.expm1(sums, out=sums)
+                    np.maximum(sums, 0.0, out=payoffs[r, i, start:stop])
 
-
-def _pass(
-    rows: Sequence[tuple[ContractSpec, MarketParams]],
-    cfg: McConfig,
-    legs: tuple[bool, ...],
-) -> list[tuple[McResult, ...]]:
-    """Price every leg of every row in one pass over the blocks.
-
-    A block's normals are drawn once, at the widest period count among the
-    rows, and each row reads its leading ``periods`` columns: a path's
-    normals do not depend on how many are drawn. Only the last (leg, row)
-    works on the block in place.
-    """
-    widest = max(market.periods for _, market in rows)
-    payoffs = np.empty((len(rows), len(legs), cfg.paths), dtype=np.float64)
-    last = (len(legs) - 1, len(rows) - 1)
-    for start in range(0, cfg.paths, BLOCK):
-        stop = min(start + BLOCK, cfg.paths)
-        z = _block_normals(cfg, widest, start, stop)
-        for i, log_payoff in enumerate(legs):
-            for r, (contract, market) in enumerate(rows):
-                in_place = (i, r) == last
-                sums = _capped_sums(contract, market, z[:, : market.periods], log_payoff, in_place)
-                if log_payoff:
-                    np.expm1(sums, out=sums)
-                np.maximum(sums, 0.0, out=payoffs[r, i, start:stop])
-
-    samples = 0.5 * (payoffs[..., 0::2] + payoffs[..., 1::2]) if cfg.antithetic else payoffs
-    root = math.sqrt(samples.shape[-1])
-    results = []
-    for (_, market), row in zip(rows, samples):
-        discount = math.exp(-market.rate * market.term)
-        stats = [(float(leg.mean()), float(leg.std(ddof=1) / root)) for leg in row]
-        results.append(tuple(McResult(discount * m, discount * s, cfg.paths) for m, s in stats))
+        samples = 0.5 * (payoffs[..., 0::2] + payoffs[..., 1::2]) if cfg.antithetic else payoffs
+        root = math.sqrt(samples.shape[-1])
+        for (_, market), row in zip(chunk, samples):
+            discount = math.exp(-market.rate * market.term)
+            stats = [(float(leg.mean()), float(leg.std(ddof=1) / root)) for leg in row]
+            results.append(tuple(McResult(discount * m, discount * s, cfg.paths) for m, s in stats))
+        # free this pass's payoffs before the next pass allocates its own
+        del payoffs, samples, row
     return results
 
 
@@ -238,9 +230,7 @@ def empirical_cumulants(
     if cfg.antithetic:
         raise ValueError("cumulant estimation requires independent paths; disable antithetic")
     sums = np.empty(cfg.paths, dtype=np.float64)
-    for start in range(0, cfg.paths, BLOCK):
-        stop = min(start + BLOCK, cfg.paths)
-        z = _block_normals(cfg, market.periods, start, stop)
+    for start, stop, z in _blocks(cfg, market.periods):
         sums[start:stop] = _capped_sums(contract, market, z, True, in_place=True)
     # k-statistics from the power sums S_r, in the operation order of
     # SciPy's kstat so the values match it bit for bit

@@ -488,9 +488,10 @@ class TestConfigFile:
 
 class TestExitCodes:
     def test_bad_contract_is_two(self, capsys):
-        code, _, err = run_cli(capsys, "price", "--floor", "0.05", "--cap", "0.025")
-        assert code == 2
-        assert "floor" in err
+        for floor in ("0.05", "-1"):
+            code, _, err = run_cli(capsys, "price", "--floor", floor, "--cap", "0.025")
+            assert code == 2
+            assert "floor" in err
 
     def test_unknown_flag_is_two(self, capsys):
         assert main(["price", "--strike", "1.0"]) == 2

@@ -69,6 +69,11 @@ class TestContractSpec:
         with pytest.raises(ValueError, match="cap"):
             ContractSpec(cap=-1.0)
 
+    def test_rejects_floor_at_or_below_minus_one(self):
+        for floor in (-1.0, -1.5):
+            with pytest.raises(ValueError, match="floor must exceed -1"):
+                ContractSpec(cap=0.025, floor=floor)
+
     def test_rejects_floor_not_below_cap(self):
         with pytest.raises(ValueError, match="floor"):
             ContractSpec(cap=0.025, floor=0.025)

@@ -1,5 +1,5 @@
 """Import-weight and concurrency guards on the package source, and the
-names the benchmark and the demos import from it, with the keywords they
+names the benchmark and the demos import from it, with the arguments they
 pass to them."""
 
 from __future__ import annotations
@@ -197,8 +197,13 @@ def _callee(func: ast.expr, bound: dict[str, object]):
     return None
 
 
-def _unknown_keywords(path: Path, tree: ast.AST):
-    """(file, line, callee, keyword) per keyword an imported callable does not take."""
+def _unbound_calls(path: Path, tree: ast.AST):
+    """(file, line, callee, error) per call an imported callable's signature refuses.
+
+    Each argument is a placeholder. A call that unpacks ``*`` or ``**`` is
+    checked with ``bind_partial`` on the positionals before its first ``*``
+    and its named keywords, since the unpacked values may fill any parameter.
+    """
     bound = {
         local: _imported(module, name)
         for module, name, local in _package_imports(tree)
@@ -208,13 +213,15 @@ def _unknown_keywords(path: Path, tree: ast.AST):
         target = _callee(node.func, bound) if isinstance(node, ast.Call) else None
         if not callable(target):
             continue
-        params = inspect.signature(target).parameters.values()
-        if any(p.kind is p.VAR_KEYWORD for p in params):
-            continue
-        names = {p.name for p in params if p.kind is not p.POSITIONAL_ONLY}
-        for kw in node.keywords:
-            if kw.arg is not None and kw.arg not in names:
-                yield path.name, node.lineno, ast.unparse(node.func), kw.arg
+        signature = inspect.signature(target)
+        starred = [isinstance(arg, ast.Starred) for arg in node.args] + [True]
+        args = [None] * starred.index(True)
+        keywords = {kw.arg: None for kw in node.keywords if kw.arg is not None}
+        unpacks = len(args) < len(node.args) or len(keywords) < len(node.keywords)
+        try:
+            (signature.bind_partial if unpacks else signature.bind)(*args, **keywords)
+        except TypeError as exc:
+            yield path.name, node.lineno, ast.unparse(node.func), str(exc)
 
 
 @pytest.mark.parametrize("folder", ("perfbench", "demos"))
@@ -231,5 +238,5 @@ def test_benchmark_and_demo_imports_exist(folder):
     assert imports
     missing = [entry for entry in imports if not _resolves(*entry[1:])]
     assert not missing, f"names no longer in monthlysum: {missing}"
-    unknown = [entry for path, tree in trees.items() for entry in _unknown_keywords(path, tree)]
-    assert not unknown, f"keywords the callable does not take: {unknown}"
+    unbound = [entry for path, tree in trees.items() for entry in _unbound_calls(path, tree)]
+    assert not unbound, f"calls the callable's signature refuses: {unbound}"

@@ -21,6 +21,7 @@ from monthlysum import (
     MarketParams,
     MomentSet,
     NonpositiveVarianceError,
+    QuadratureConvergenceError,
     capped_floored_moment_closed,
     capped_moment_closed,
     closed_form_moments,
@@ -31,6 +32,7 @@ from monthlysum import (
 from monthlysum.moments import (
     PRINTED,
     _closed_moments,
+    _quad_split,
     _truncation_geometry,
     standard_normal_cdf,
     standard_normal_pdf,
@@ -314,6 +316,11 @@ class TestApiGuards:
             capped_moment_closed(1, MARKET, CAP_FLOOR)
         with pytest.raises(ValueError):
             capped_floored_moment_closed(1, MARKET, CAP_ONLY)
+
+    def test_unconverged_quadrature_names_its_interval(self):
+        # sin(1/z) oscillates without bound near 0, so the subdivision budget runs out
+        with pytest.raises(QuadratureConvergenceError, match=r"quadrature on \[0\.0001, 1\] did not"):
+            _quad_split(lambda z: math.sin(1.0 / z), 1e-4, 1.0, ())
 
     def test_moment_set_rejects_nonpositive_variance(self):
         with pytest.raises(NonpositiveVarianceError, match="variance"):

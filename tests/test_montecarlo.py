@@ -228,7 +228,7 @@ class TestSharedPasses:
 class TestAntithetic:
     def test_pairs_mirror_the_base_draws(self):
         cfg = McConfig(paths=8, seed=3, antithetic=True)
-        z = montecarlo._block_normals(cfg, MARKET.periods, 0, 8)
+        _, _, z = next(montecarlo._blocks(cfg, MARKET.periods))
         base = path_normals(3, 0, 4, MARKET.periods, STREAM_SHARED)
         np.testing.assert_array_equal(z[0::2], base)
         np.testing.assert_array_equal(z[1::2], -base)
@@ -258,8 +258,8 @@ class TestScratch:
     @pytest.mark.parametrize("periods, antithetic", ((12, False), (13, False), (12, True)))
     def test_blocks_reuse_the_thread_scratch(self, periods, antithetic):
         cfg = McConfig(paths=2 * BLOCK, seed=5, antithetic=antithetic)
-        first = montecarlo._block_normals(cfg, periods, 0, BLOCK)
-        second = montecarlo._block_normals(cfg, periods, BLOCK, 2 * BLOCK)
+        blocks = montecarlo._blocks(cfg, periods)
+        (_, _, first), (_, _, second) = next(blocks), next(blocks)
         assert np.shares_memory(first, second)
         if not antithetic:
             fresh = path_normals(5, BLOCK, BLOCK, periods, STREAM_SHARED)

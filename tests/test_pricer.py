@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monthlysum import (
@@ -173,6 +173,31 @@ class TestPriceMs:
         closed = price_ms(contract, market, correction="closed").ms1
         # measured as the validation suite measures it, with its floor under |quad|
         assert abs(closed - quad) <= CORRECTION_REL_TOL * max(abs(quad), REL_DENOM_FLOOR)
+
+    # the quote ranges again, kept to where the correction is small on both
+    # quotes, |ms1| <= 0.1 |ms0|: outside that a higher cap can price lower
+    # (in every such case seen, one of the two totals was nonpositive)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        cap=st.floats(0.005, 0.10),
+        floor=st.one_of(st.none(), st.floats(-0.10, 0.0)),
+        sigma=st.floats(0.05, 0.5),
+        rate=st.floats(0.0, 0.06),
+        div=st.floats(0.0, 0.03),
+        term=st.floats(1.0, 10.0),
+        periods=st.sampled_from((4, 12, 52, 252)),
+        delta=st.floats(0.001, 0.2),
+    )
+    def test_price_nondecreasing_in_the_cap_where_the_correction_is_small(
+        self, cap, floor, sigma, rate, div, term, periods, delta
+    ):
+        market = MarketParams(
+            rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
+        )
+        low = price_ms(ContractSpec(cap=cap, floor=floor), market)
+        high = price_ms(ContractSpec(cap=cap * (1.0 + delta), floor=floor), market)
+        assume(all(abs(quote.ms1) <= 0.1 * abs(quote.ms0) for quote in (low, high)))
+        assert high.total >= low.total - 1e-13 * abs(low.total)
 
     def test_moment_routes_agree(self):
         # the quadrature moments reach the aggregate law by composing the stages

@@ -82,7 +82,7 @@ class TestCorrectedVariant:
             "I2_cap": 4.590764374967599e-16,
             "I3_cap": 2.981832724328305e-14,
             "ms1_closed": 4.3834352950557364e-11,
-            "I1_capfloor": 1.2311504711237565e-13,
+            "I1_capfloor": 9.233628533428457e-14,
             "I2_capfloor": 1.198047235125189e-13,
             "I3_capfloor": 6.4163422721236125e-12,
         }
