@@ -9,14 +9,14 @@ Two payoffs are simulated on the same monthly Gaussian draws:
 
 Draws come from the counter-based generator in :mod:`monthlysum.rng`, all
 on its one stream :data:`~monthlysum.rng.STREAM_SHARED`, so a path's
-normals are a pure function of (seed, path index). Paths are processed
-serially in fixed blocks of :data:`BLOCK`; one generator walks them for
-the prices and the cumulant estimates alike, and all reductions happen
-after assembly. A block's normals overwrite its raw words in the thread's
-scratch, leaving a spare column per row for an odd period count. The
-``threads`` argument (an integer of at least 1) has no effect: each block
-is a run of small numpy calls that hold the GIL between them, so a thread
-pool only added overhead.
+normals are a pure function of (seed, draw row). One generator walks the
+rows serially in blocks of :data:`BLOCK`, for prices and cumulants alike;
+an antithetic pair reads one row twice, as z and as -z. All reductions
+happen after assembly. A block's normals overwrite its raw words in the
+thread's scratch, leaving a spare column per row for an odd period count.
+The ``threads`` argument (an integer of at least 1) has no effect: each
+block is a run of small numpy calls that hold the GIL between them, so a
+thread pool only added overhead.
 
 Both payoffs read the same draws (common random numbers), so their
 difference is a low-variance estimate of the capping-convention gap. The
@@ -50,9 +50,8 @@ __all__ = [
     "simulate_msln",
 ]
 
-#: Paths per work unit. It bounds the memory of one block of normals; the
-#: draws themselves do not depend on it. Even, so antithetic pairs never
-#: straddle a block boundary.
+#: Draw rows per work unit. It bounds the memory of one block of normals;
+#: the draws themselves do not depend on it.
 BLOCK = 4096
 
 #: Payoff values one pass over the blocks may hold (2^22 doubles, 32 MiB):
@@ -65,9 +64,9 @@ _PASS_VALUES = 2**22
 class McConfig:
     """Simulation controls.
 
-    ``antithetic`` prices each pair (z, -z) together and averages within
-    the pair before the variance is estimated; it requires at least two
-    pairs. Every payoff reads the same draws for a given ``seed``, so
+    ``antithetic``, a bool, prices each pair (z, -z) together and averages
+    within the pair before the variance is estimated; it requires at least
+    two pairs. Every payoff reads the same draws for a given ``seed``, so
     cross-payoff differences are computed on identical draws.
     """
 
@@ -78,6 +77,9 @@ class McConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "paths", _require_integer("paths", self.paths, 2))
         object.__setattr__(self, "seed", _require_integer("seed", self.seed, 0, 2**64 - 1))
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise ValueError(f"antithetic must be a bool, got {self.antithetic!r}")
+        object.__setattr__(self, "antithetic", bool(self.antithetic))
         if self.antithetic and (self.paths % 2 or self.paths < 4):
             raise ValueError(
                 f"antithetic pairing requires an even path count of at least 4, got {self.paths!r}"
@@ -98,9 +100,10 @@ def _capped_sums(
     market: MarketParams,
     z: np.ndarray,
     log_returns: bool,
+    sign: float,
     in_place: bool,
 ) -> np.ndarray:
-    """Per-path sums of the capped (and floored) monthly returns on the normals ``z``.
+    """Per-path sums of the capped (and floored) monthly returns on the normals ``sign * z``.
 
     Log returns bounded by ``log_cap``/``log_floor`` when ``log_returns``,
     otherwise simple returns bounded by ``cap``/``floor``. ``z`` is
@@ -109,8 +112,8 @@ def _capped_sums(
     # always writing out of place made the 60-period simulate_ms and
     # empirical_cumulants 11-46% slower (4 of 4 interleaved rounds, 2 vCPUs)
     out = z if in_place else _scratch_array("returns", z.shape, np.float64)
-    # x = drift + scale * z, elementwise in that order
-    x = np.multiply(z, market.sigma * math.sqrt(market.dt), out=out)
+    # x = drift + (sign * scale) * z in that order; z * -scale is -z * scale exactly
+    x = np.multiply(z, sign * (market.sigma * math.sqrt(market.dt)), out=out)
     x += market.mu * market.dt
     if log_returns:
         cap, floor = contract.log_cap, contract.log_floor
@@ -123,25 +126,16 @@ def _capped_sums(
     return x.sum(axis=1)
 
 
-def _blocks(cfg: McConfig, count: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``(start, stop, z)`` per block: ``count`` monthly normals for each path in [start, stop).
+def _blocks(seed: int, rows: int, count: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(start, stop, z)`` per block: ``count`` monthly normals for each draw row in [start, stop).
 
-    The blocks cover the paths in order, :data:`BLOCK` at a time, with
-    antithetic pairing applied. ``z`` lives in the thread's scratch until
-    the next block is drawn.
+    The blocks cover rows [0, ``rows``) of the shared stream in order, :data:`BLOCK`
+    at a time; ``z`` lives in the thread's scratch until the next block is drawn.
     """
-    paths_per_row = 2 if cfg.antithetic else 1
-    for start in range(0, cfg.paths, BLOCK):
-        stop = min(start + BLOCK, cfg.paths)
-        n_rows = (stop - start) // paths_per_row
-        words = _scratch_array("words", (n_rows, count + count % 2), np.uint64)
-        z = _draw_normals(words, cfg.seed, start // paths_per_row, count, STREAM_SHARED)
-        if cfg.antithetic:
-            # pair k occupies paths 2k and 2k+1; the odd path mirrors the even one
-            base, z = z, _scratch_array("pairs", (stop - start, count), np.float64)
-            z[0::2] = base
-            np.negative(base, out=z[1::2])
-        yield start, stop, z
+    for start in range(0, rows, BLOCK):
+        stop = min(start + BLOCK, rows)
+        words = _scratch_array("words", (stop - start, count + count % 2), np.uint64)
+        yield start, stop, _draw_normals(words, seed, start, count, STREAM_SHARED)
 
 
 def _run(
@@ -152,31 +146,35 @@ def _run(
 ) -> list[tuple[McResult, ...]]:
     """Price each leg of every (contract, market) row; a leg is its log-payoff flag.
 
-    Returns one tuple of results per row, in leg order. The rows are cut
-    into passes, as many to a pass as keep its payoffs within
-    :data:`_PASS_VALUES`. A pass draws each block once, at the widest
-    period count among its rows, and each row reads its leading
-    ``periods`` columns: a path's normals do not depend on how many are
-    drawn. Only the last (leg, row) of a pass works on the block in place.
+    Returns one tuple of results per row, in leg order. Each draw row is priced
+    as the signed leg (flag, +1) and, if antithetic, (flag, -1), the two
+    averaged into one sample. The rows are cut into passes, as many to a pass as
+    keep its payoffs within :data:`_PASS_VALUES`. A pass draws each block once,
+    at the widest period count among its rows, and each row reads its leading
+    ``periods`` columns: a path's normals do not depend on how many are drawn.
+    Only the last (signed leg, row) of a pass works on the block in place.
     """
     _require_integer("threads", threads, 1)
+    signs = (1.0, -1.0) if cfg.antithetic else (1.0,)
+    signed = [(log_payoff, sign) for log_payoff in legs for sign in signs]
+    draws = cfg.paths // len(signs)
     per_pass = max(1, _PASS_VALUES // (len(legs) * cfg.paths))
     results: list[tuple[McResult, ...]] = []
     for lo in range(0, len(rows), per_pass):
         chunk = rows[lo : lo + per_pass]
-        payoffs = np.empty((len(chunk), len(legs), cfg.paths), dtype=np.float64)
-        last = (len(legs) - 1, len(chunk) - 1)
-        for start, stop, z in _blocks(cfg, max(market.periods for _, market in chunk)):
-            for i, log_payoff in enumerate(legs):
+        payoffs = np.empty((len(chunk), len(signed), draws), dtype=np.float64)
+        last = (len(signed) - 1, len(chunk) - 1)
+        for start, stop, z in _blocks(cfg.seed, draws, max(market.periods for _, market in chunk)):
+            for i, (log_payoff, sign) in enumerate(signed):
                 for r, (contract, market) in enumerate(chunk):
                     sums = _capped_sums(
-                        contract, market, z[:, : market.periods], log_payoff, (i, r) == last
+                        contract, market, z[:, : market.periods], log_payoff, sign, (i, r) == last
                     )
                     if log_payoff:
                         np.expm1(sums, out=sums)
                     np.maximum(sums, 0.0, out=payoffs[r, i, start:stop])
 
-        samples = 0.5 * (payoffs[..., 0::2] + payoffs[..., 1::2]) if cfg.antithetic else payoffs
+        samples = 0.5 * (payoffs[:, 0::2] + payoffs[:, 1::2]) if cfg.antithetic else payoffs
         root = math.sqrt(samples.shape[-1])
         for (_, market), row in zip(chunk, samples):
             discount = math.exp(-market.rate * market.term)
@@ -230,8 +228,8 @@ def empirical_cumulants(
     if cfg.antithetic:
         raise ValueError("cumulant estimation requires independent paths; disable antithetic")
     sums = np.empty(cfg.paths, dtype=np.float64)
-    for start, stop, z in _blocks(cfg, market.periods):
-        sums[start:stop] = _capped_sums(contract, market, z, True, in_place=True)
+    for start, stop, z in _blocks(cfg.seed, cfg.paths, market.periods):
+        sums[start:stop] = _capped_sums(contract, market, z, True, 1.0, in_place=True)
     # k-statistics from the power sums S_r, in the operation order of
     # SciPy's kstat so the values match it bit for bit
     size = sums.size

@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 from ._printed import correction_exponent
-from .contracts import ContractSpec, MarketParams, _require_integer, _require_positive
+from .contracts import ContractSpec, MarketParams
+from .contracts import _require_finite, _require_integer, _require_positive
 from .edgeworth import EdgeworthParams, aggregate, cumulants_from_moments
 from .moments import (
     CORRECTED,
@@ -52,6 +53,8 @@ def bs_call(
     """Black-Scholes price of a European call on a dividend-paying asset."""
     for name, value in (("spot", spot), ("strike", strike), ("vol", vol), ("term", term)):
         _require_positive(name, value)
+    _require_finite("rate", rate)
+    _require_finite("div_yield", div_yield)
     sq = vol * math.sqrt(term)
     d1 = (math.log(spot / strike) + (rate - div_yield + 0.5 * vol * vol) * term) / sq
     d2 = d1 - sq

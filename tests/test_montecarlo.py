@@ -200,7 +200,7 @@ class TestSharedPasses:
     @pytest.mark.parametrize("axis", sorted(SWEEP_ROWS))
     @pytest.mark.parametrize(
         "paths, antithetic",
-        ((4096, False), (4096, True), (BLOCK + 37, False), (BLOCK + 38, True)),
+        ((4096, False), (4096, True), (BLOCK + 37, False), (2 * BLOCK + 38, True)),
         ids=("plain", "antithetic", "partial-block", "antithetic-partial-block"),
     )
     def test_rows_equal_separate_pairs(self, monkeypatch, axis, paths, antithetic):
@@ -209,7 +209,8 @@ class TestSharedPasses:
         alone = [_price_pair(contract, market, cfg) for contract, market in rows]
         drawn = _count_path_normals(monkeypatch)
         assert _run(rows, cfg, _PAIR, 1) == alone
-        assert len(drawn) == math.ceil(paths / BLOCK)
+        # an antithetic pair reads one draw row, so a block holds BLOCK pairs
+        assert len(drawn) == math.ceil((paths // 2 if antithetic else paths) / BLOCK)
 
     def test_rows_beyond_the_pass_bound_take_more_passes(self, monkeypatch, capsys):
         paths = BLOCK + 37
@@ -225,13 +226,39 @@ class TestSharedPasses:
         assert len(drawn) == 3 * math.ceil(paths / BLOCK)
 
 
+def _antithetic_reference(contract, market, paths, seed, log_payoff):
+    """The antithetic estimate by its definition: pair k prices draw row k on z and on -z."""
+    z = path_normals(seed, 0, paths // 2, market.periods, STREAM_SHARED)
+
+    def payoff(shock):
+        x = shock * (market.sigma * math.sqrt(market.dt)) + market.mu * market.dt
+        if log_payoff:
+            cap, floor = contract.log_cap, contract.log_floor
+        else:
+            cap, floor = contract.cap, contract.floor
+            x = np.expm1(x)
+        x = np.minimum(x, cap)
+        if floor is not None:
+            x = np.maximum(x, floor)
+        sums = x.sum(axis=1)
+        return np.maximum(np.expm1(sums) if log_payoff else sums, 0.0)
+
+    sample = 0.5 * (payoff(z) + payoff(-z))
+    discount = math.exp(-market.rate * market.term)
+    mean, stderr = float(sample.mean()), float(sample.std(ddof=1) / math.sqrt(sample.size))
+    return McResult(discount * mean, discount * stderr, paths)
+
+
 class TestAntithetic:
     def test_pairs_mirror_the_base_draws(self):
-        cfg = McConfig(paths=8, seed=3, antithetic=True)
-        _, _, z = next(montecarlo._blocks(cfg, MARKET.periods))
-        base = path_normals(3, 0, 4, MARKET.periods, STREAM_SHARED)
-        np.testing.assert_array_equal(z[0::2], base)
-        np.testing.assert_array_equal(z[1::2], -base)
+        """Each antithetic result is its definition on draw rows z and -z, bit for bit."""
+        for paths in (8, 2 * BLOCK + 38):
+            cfg = McConfig(paths=paths, seed=3, antithetic=True)
+            for contract in (CAP_ONLY, ContractSpec(cap=0.025, floor=-0.05)):
+                for simulate, log_payoff in ((simulate_ms, False), (simulate_msln, True)):
+                    expected = _antithetic_reference(contract, MARKET, paths, 3, log_payoff)
+                    got = simulate(contract, MARKET, cfg)
+                    assert got == expected, (paths, contract, simulate.__name__)
 
     def test_variance_reduction_on_default_contract(self):
         plain = simulate_ms(CAP_ONLY, MARKET, McConfig(paths=40_000, seed=21))
@@ -255,15 +282,13 @@ class TestAntithetic:
 
 
 class TestScratch:
-    @pytest.mark.parametrize("periods, antithetic", ((12, False), (13, False), (12, True)))
-    def test_blocks_reuse_the_thread_scratch(self, periods, antithetic):
-        cfg = McConfig(paths=2 * BLOCK, seed=5, antithetic=antithetic)
-        blocks = montecarlo._blocks(cfg, periods)
+    @pytest.mark.parametrize("periods", (12, 13))
+    def test_blocks_reuse_the_thread_scratch(self, periods):
+        blocks = montecarlo._blocks(5, 2 * BLOCK, periods)
         (_, _, first), (_, _, second) = next(blocks), next(blocks)
         assert np.shares_memory(first, second)
-        if not antithetic:
-            fresh = path_normals(5, BLOCK, BLOCK, periods, STREAM_SHARED)
-            assert np.array_equal(second.view(np.uint64), fresh.view(np.uint64))
+        fresh = path_normals(5, BLOCK, BLOCK, periods, STREAM_SHARED)
+        assert np.array_equal(second.view(np.uint64), fresh.view(np.uint64))
 
     def test_threads_price_as_if_alone(self):
         cfgs = [McConfig(paths=3 * BLOCK + 10, seed=seed) for seed in range(6)]
@@ -327,6 +352,19 @@ class TestEmpiricalCumulants:
 
 
 class TestConfigGuards:
+    @pytest.mark.parametrize("value", ("false", "no", 1, 2.5, None, 0))
+    def test_antithetic_must_be_a_bool(self, value):
+        # a truthy string such as "false" used to turn pairing on
+        with pytest.raises(ValueError, match="antithetic"):
+            McConfig(paths=4096, antithetic=value)
+
+    def test_numpy_bool_antithetic_is_stored_as_bool(self):
+        cfg = McConfig(paths=4096, antithetic=np.bool_(True))
+        assert cfg.antithetic is True
+        assert simulate_ms(CAP_ONLY, MARKET, cfg) == simulate_ms(
+            CAP_ONLY, MARKET, McConfig(paths=4096, antithetic=True)
+        )
+
     def test_path_minimum(self):
         with pytest.raises(ValueError, match="paths"):
             McConfig(paths=1)

@@ -68,6 +68,21 @@ class TestBlackScholes:
         with pytest.raises(ValueError, match=field):
             bs_call(**kwargs)
 
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf, True))
+    @pytest.mark.parametrize("field", ("rate", "div_yield"))
+    def test_nonfinite_rates_rejected(self, field, value):
+        # nan used to price as nan, rate=inf as 1.0 and div_yield=inf as 0.0
+        kwargs = dict(spot=1.0, strike=1.0, vol=0.2, rate=0.0, div_yield=0.0, term=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            bs_call(**kwargs)
+
+    @pytest.mark.parametrize("field", ("rate", "div_yield"))
+    def test_negative_rates_still_price(self, field):
+        kwargs = dict(spot=1.0, strike=1.0, vol=0.2, rate=0.0, div_yield=0.0, term=1.0)
+        kwargs[field] = -0.02
+        assert 0.0 < bs_call(**kwargs) < 1.0
+
 
 class TestLeadingTerm:
     def test_frozen_reference_point(self):
