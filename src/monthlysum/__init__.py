@@ -15,6 +15,13 @@ Every closed form is validated against an adaptive-quadrature oracle over
 a 1200-point parameter grid; see :mod:`monthlysum.validation`.
 """
 
+from ._reference import (
+    capped_floored_moment_closed,
+    capped_moment_closed,
+    moment_quadrature,
+    ms_correction_quadrature,
+    quadrature_moments,
+)
 from .contracts import ContractSpec, MarketParams
 from .edgeworth import (
     CumulantSet,
@@ -27,21 +34,13 @@ from .errors import (
     NonpositiveVarianceError,
     QuadratureConvergenceError,
 )
-from .moments import (
-    MomentSet,
-    capped_floored_moment_closed,
-    capped_moment_closed,
-    closed_form_moments,
-    moment_quadrature,
-    quadrature_moments,
-)
+from .moments import MomentSet, closed_form_moments
 from .montecarlo import McConfig, McResult, empirical_cumulants, simulate_ms, simulate_msln
 from .pricer import (
     PriceBreakdown,
     bs_call,
     edgeworth_params,
     ms_correction_closed,
-    ms_correction_quadrature,
     ms_leading,
     price_ms,
 )

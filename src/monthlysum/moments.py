@@ -10,18 +10,14 @@ its first three raw moments
           + integral of x^n over the Gaussian body
           + cap_mass * log_cap^n
 
-two ways: by closed form, and by adaptive quadrature on the standardized
-variable. The quadrature is the module's ground truth. Both closed forms,
-cap-only and cap-and-floor, come from one partial-moment kernel
-P_n(u) = int_{-inf}^{u} (m + s*z)^n phi(z) dz, which gives all three orders
-from one evaluation of Phi and phi per bound.
+in closed form. Both contract kinds, cap-only and cap-and-floor, come from
+one partial-moment kernel P_n(u) = int_{-inf}^{u} (m + s*z)^n phi(z) dz,
+which gives all three orders from one evaluation of Phi and phi per bound.
 
-Each closed form exists in two variants. ``"corrected"`` (the default) is
-the re-derived expression that agrees with quadrature to 1e-9 relative
-across the validation grid. ``"printed"`` is the uncorrected transcription
-the corrected forms replace; it is retained verbatim in
-:mod:`monthlysum._printed` so the validation suite can demonstrate
-numerically where it is defective (see :mod:`monthlysum.validation` and the
+These are the corrected forms, which agree with quadrature to 1e-9
+relative across the validation grid. The quadrature oracle they are
+checked against, and the printed transcriptions they replace, live in
+:mod:`monthlysum._reference` (see :mod:`monthlysum.validation` and the
 ``--printed-formulas`` CLI flag).
 """
 
@@ -32,38 +28,25 @@ from dataclasses import dataclass
 
 from scipy.special import erfc
 
-from .contracts import ContractSpec, MarketParams, _require_integer
-from .errors import (
-    DegenerateVolatilityError,
-    NonpositiveVarianceError,
-    QuadratureConvergenceError,
-)
+from .contracts import ContractSpec, MarketParams
+from .errors import DegenerateVolatilityError, NonpositiveVarianceError
 
 __all__ = [
     "CORRECTED",
     "PRINTED",
     "MomentSet",
-    "capped_floored_moment_closed",
-    "capped_moment_closed",
     "closed_form_moments",
-    "moment_quadrature",
-    "quadrature_moments",
     "standard_normal_cdf",
     "standard_normal_pdf",
 ]
 
+#: Formula variants: the corrected closed forms of this module, and the
+#: printed transcriptions in :mod:`monthlysum._reference`.
 CORRECTED = "corrected"
 PRINTED = "printed"
 
 #: Reject closed-form evaluation below this monthly volatility scale.
 MIN_MONTHLY_VOL = 1e-12
-
-#: Clip quadrature at +/- 12 standard deviations; the omitted tail mass is
-#: below 1e-32, far under the 1e-12 relative tolerance.
-TAIL_CLIP = 12.0
-
-QUAD_REL_TOL = 1e-12
-QUAD_SUBDIVISION_LIMIT = 200
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -141,73 +124,6 @@ class MomentSet:
             )
 
 
-def _quad_split(fn, lo: float, hi: float, interior: tuple[float, ...]) -> float:
-    """Adaptive Gauss-Kronrod integration, cut at interior sign changes of the integrand.
-
-    Sign-definite pieces keep the adaptive scheme from chasing cancellation
-    it cannot resolve at the requested tolerance. Each piece must converge.
-    """
-    from scipy import integrate  # deferred: 0.4 s of import only the quadrature oracle needs
-
-    cuts = [lo] + [p for p in sorted(interior) if lo < p < hi] + [hi]
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        result = integrate.quad(
-            fn, a, b, epsabs=1e-16, epsrel=QUAD_REL_TOL, limit=QUAD_SUBDIVISION_LIMIT, full_output=1
-        )
-        if len(result) > 3:
-            # quad appends a message (and possibly an explanation) on trouble
-            raise QuadratureConvergenceError(
-                f"quadrature on [{a:g}, {b:g}] did not converge: {result[3]}"
-            )
-        total += result[0]
-    return total
-
-
-def moment_quadrature(n: int, market: MarketParams, contract: ContractSpec) -> float:
-    """n-th raw moment of the capped monthly log return by adaptive quadrature.
-
-    Integrates (m + s*z)^n against the standard normal density between the
-    standardized bounds (clipped at +/-12), then adds the bound atoms. This
-    is the ground truth the closed forms are validated against.
-
-    Args:
-        n: moment order, 1, 2 or 3.
-        market: market parameters.
-        contract: cap and optional floor.
-
-    Returns:
-        I_n in units of log-return^n.
-
-    Raises:
-        QuadratureConvergenceError: tolerance not met within the budget.
-        DegenerateVolatilityError: sigma*sqrt(dt) below the supported scale.
-    """
-    n = _require_integer("moment order", n, 1, 3)
-    return _integrate_moment(n, contract, _truncation_geometry(market, contract))
-
-
-def _integrate_moment(n: int, contract: ContractSpec, geo: _TruncationGeometry) -> float:
-    """I_n by quadrature over the body between the standardized bounds, plus the atoms."""
-    m, s = geo.m, geo.s
-    z_hi = min(geo.c_tilde, TAIL_CLIP)
-    z_lo = -TAIL_CLIP
-    total = contract.log_cap**n * geo.cap_mass
-    if contract.floor is not None:
-        z_lo = max(geo.f_tilde, z_lo)
-        total += contract.log_floor**n * geo.floor_mass
-
-    if z_hi > z_lo:
-        def integrand(z: float) -> float:
-            x = m + s * z
-            return x**n * standard_normal_pdf(z)
-
-        # odd powers of x = m + s*z flip sign at z = -m/s
-        interior = (-(m / s),) if n % 2 else ()
-        total += _quad_split(integrand, z_lo, z_hi, interior)
-    return total
-
-
 def _partial_moments(m: float, s: float, u: float, cdf: float) -> tuple[float, float, float]:
     """P_n(u) = integral over z < u of (m + s*z)^n phi(z) dz, for n = 1, 2, 3.
 
@@ -223,9 +139,7 @@ def _partial_moments(m: float, s: float, u: float, cdf: float) -> tuple[float, f
     )
 
 
-def _closed_moments(
-    market: MarketParams, contract: ContractSpec, variant: str
-) -> tuple[float, float, float]:
+def _closed_moments(market: MarketParams, contract: ContractSpec) -> tuple[float, float, float]:
     """Closed-form (I_1, I_2, I_3): the Gaussian body between the bounds plus their atoms.
 
     Cap-only: I_n = P_n(c~) + c^n cap_mass. With a floor:
@@ -234,11 +148,6 @@ def _closed_moments(
     (floor_mass is Phi(f~)). Atom powers are repeated products: pow can
     round differently.
     """
-    if _is_printed(variant):
-        from . import _printed  # imported late: _printed itself imports this module
-
-        printed = _printed.capped_moments if contract.floor is None else _printed.floored_moments
-        return printed(market, contract)
     geo = _truncation_geometry(market, contract)
     c, cm = contract.log_cap, geo.cap_mass
     body = _partial_moments(geo.m, geo.s, geo.c_tilde, standard_normal_cdf(geo.c_tilde))
@@ -251,55 +160,7 @@ def _closed_moments(
     return tuple(p - q + b + a for p, q, b, a in zip(body, below, floors, caps))
 
 
-def _closed_moment(n: int, market: MarketParams, contract: ContractSpec, variant: str) -> float:
-    """Closed-form I_n: one order of the whole set."""
-    n = _require_integer("moment order", n, 1, 3)
-    return _closed_moments(market, contract, variant)[n - 1]
-
-
-def capped_moment_closed(
-    n: int, market: MarketParams, contract: ContractSpec, variant: str = CORRECTED
-) -> float:
-    """Closed-form I_n for a cap-only contract.
-
-    The corrected form is P_n(c~) + c^n * cap_mass; the printed variant of
-    I_2 carries exp(-c~^2) where the derivation requires exp(-c~^2/2).
-    """
-    if contract.floor is not None:
-        raise ValueError("capped_moment_closed handles cap-only contracts; use capped_floored_moment_closed")
-    return _closed_moment(n, market, contract, variant)
-
-
-def capped_floored_moment_closed(
-    n: int, market: MarketParams, contract: ContractSpec, variant: str = CORRECTED
-) -> float:
-    """Closed-form I_n for a contract carrying both a cap and a floor.
-
-    The corrected form is P_n(c~) - P_n(f~) + f^n * floor_mass +
-    c^n * cap_mass. The printed variant reproduces two defects verbatim: the
-    floor abscissa written with a spurious sqrt(2*pi) in its denominator,
-    and, in I_2, the cross term's exponents written without their 1/2.
-    """
-    if contract.floor is None:
-        raise ValueError("capped_floored_moment_closed requires a floored contract")
-    return _closed_moment(n, market, contract, variant)
-
-
 def closed_form_moments(market: MarketParams, contract: ContractSpec) -> MomentSet:
     """All three corrected closed-form moments from one pass over the truncation geometry."""
-    i1, i2, i3 = _closed_moments(market, contract, CORRECTED)
+    i1, i2, i3 = _closed_moments(market, contract)
     return MomentSet(i1=i1, i2=i2, i3=i3, provenance="closed_form")
-
-
-def quadrature_moments(market: MarketParams, contract: ContractSpec) -> MomentSet:
-    """All three ground-truth moments by adaptive quadrature, on one geometry."""
-    geo = _truncation_geometry(market, contract)
-    i1, i2, i3 = (_integrate_moment(n, contract, geo) for n in (1, 2, 3))
-    return MomentSet(i1=i1, i2=i2, i3=i3, provenance="quadrature")
-
-
-def _is_printed(variant: str) -> bool:
-    """Check a formula variant; True selects the printed transcription."""
-    if variant not in (CORRECTED, PRINTED):
-        raise ValueError(f"variant must be {CORRECTED!r} or {PRINTED!r}, got {variant!r}")
-    return variant == PRINTED

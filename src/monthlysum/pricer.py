@@ -10,12 +10,10 @@ then splits into two discounted pieces:
   against the H3 perturbation of the Gaussian density.
 
 The correction integral has a closed form (``ms_correction_closed``),
-which ``price_ms`` uses by default, and a direct quadrature
-(``ms_correction_quadrature``), kept as its oracle; the two must agree to
-1e-8 relative, and the validation suite enforces that across the parameter
-grid. As with the moment formulas, the closed form carries a ``"printed"``
-variant, in :mod:`monthlysum._printed`, kept only to demonstrate its defect
-(an exponent missing its 1/2).
+which ``price_ms`` uses by default. Its oracle, a direct quadrature, and
+its ``"printed"`` variant's exponent (missing its 1/2) live in
+:mod:`monthlysum._reference`; the closed form and the quadrature must agree
+to 1e-8 relative, and the validation suite enforces that across the grid.
 """
 
 from __future__ import annotations
@@ -23,25 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._printed import correction_exponent
+from ._reference import _is_printed, correction_exponent, ms_correction_quadrature
 from .contracts import ContractSpec, MarketParams
 from .contracts import _require_finite, _require_integer, _require_positive
 from .edgeworth import EdgeworthParams, aggregate, cumulants_from_moments
-from .moments import (
-    CORRECTED,
-    _is_printed,
-    _quad_split,
-    closed_form_moments,
-    standard_normal_cdf,
-    standard_normal_pdf,
-)
+from .moments import CORRECTED, closed_form_moments, standard_normal_cdf
 
 __all__ = [
     "PriceBreakdown",
     "bs_call",
     "edgeworth_params",
     "ms_correction_closed",
-    "ms_correction_quadrature",
     "ms_leading",
     "price_ms",
 ]
@@ -71,31 +61,6 @@ def ms_leading(ep: EdgeworthParams, market: MarketParams) -> float:
         exp(-y_eff T) Phi((nu/v + v) sqrt(T)) - exp(-r T) Phi((nu/v) sqrt(T)).
     """
     return bs_call(1.0, 1.0, ep.v, market.rate, ep.y_eff, ep.term)
-
-
-def ms_correction_quadrature(ep: EdgeworthParams, market: MarketParams) -> float:
-    """First-order correction term by direct quadrature.
-
-    Integrates (exp(a + b z) - 1) H3(z) phi(z) over z >= -a/b (the region
-    where the payoff is in the money), scales by epsilon1 and discounts.
-    Serves as the ground truth for ``ms_correction_closed``.
-
-    The upper limit is clipped where the exp-tilted Gaussian factor is
-    below 1e-55 of its peak, and the interval is split at the sign changes
-    of H3 so the adaptive scheme never averages across a zero crossing.
-    """
-    a = ep.nu * ep.term
-    b = ep.v * math.sqrt(ep.term)
-    z0 = -a / b
-    hi = max(z0, b) + 16.0
-
-    def integrand(z: float) -> float:
-        # H3(z) = z(z^2 - 3)
-        return (math.exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * standard_normal_pdf(z)
-
-    root3 = math.sqrt(3.0)
-    j = _quad_split(integrand, z0, hi, (-root3, 0.0, root3))
-    return math.exp(-market.rate * ep.term) * ep.epsilon1 * j
 
 
 def ms_correction_closed(
@@ -130,7 +95,7 @@ def ms_correction_closed(
 def edgeworth_params(contract: ContractSpec, market: MarketParams) -> EdgeworthParams:
     """Edgeworth parameters of the aggregate law, from the closed-form moments.
 
-    The quadrature moments give the same law through
+    The quadrature moments of :mod:`monthlysum._reference` give the same law through
     ``aggregate(cumulants_from_moments(quadrature_moments(market, contract)), market)``.
     """
     return aggregate(cumulants_from_moments(closed_form_moments(market, contract)), market)
@@ -167,8 +132,9 @@ def price_ms(
         order: the integer 0 for the Gaussian term alone, 1 to add the
             skewness correction; a bool or a float is rejected.
         correction: route for the order-1 term, ``"closed"`` (default) or
-            ``"quadrature"``, the oracle the closed form is validated
-            against, which the CLI still names to keep its pinned stdout.
+            ``"quadrature"``, the oracle in :mod:`monthlysum._reference`
+            that the closed form is validated against, which the CLI still
+            names to keep its pinned stdout.
 
     Returns:
         The price breakdown. When the cap is nonpositive every capped

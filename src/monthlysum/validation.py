@@ -15,6 +15,9 @@ genuinely differs fails against quadrature, and a discrepancy record
 (printed value, corrected value, quadrature value) is collected per
 offending grid point. ``write_discrepancy_log`` serializes those records
 as JSON lines.
+
+The quadrature oracle and the printed transcriptions come from
+:mod:`monthlysum._reference`.
 """
 
 from __future__ import annotations
@@ -23,17 +26,11 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
+from ._reference import _is_printed, _variant_moments, ms_correction_quadrature, quadrature_moments
 from .contracts import ContractSpec, MarketParams, _require_positive
 from .edgeworth import aggregate, cumulants_from_moments
-from .moments import (
-    CORRECTED,
-    PRINTED,
-    _closed_moments,
-    _is_printed,
-    closed_form_moments,
-    quadrature_moments,
-)
-from .pricer import ms_correction_closed, ms_correction_quadrature
+from .moments import CORRECTED, PRINTED, closed_form_moments
+from .pricer import ms_correction_closed
 
 __all__ = [
     "CORRECTION_REL_TOL",
@@ -190,8 +187,7 @@ def validate_point(
     corrected = (mset.i1, mset.i2, mset.i3, ms_correction_closed(ep, market))
 
     def closed(which: str) -> tuple[float, ...]:
-        # a printed set can imply a nonpositive variance, so it is no MomentSet
-        return (*_closed_moments(market, contract, which), ms_correction_closed(ep, market, which))
+        return (*_variant_moments(market, contract, which), ms_correction_closed(ep, market, which))
 
     tested = corrected if variant == CORRECTED else closed(variant)
     printed = None

@@ -128,12 +128,72 @@ def test_no_module_imports_concurrent_futures():
             assert not module.startswith("concurrent"), f"{path.name} imports {module}"
 
 
-@pytest.mark.parametrize("name", ("moments.py", "pricer.py"))
+@pytest.mark.parametrize("name", ("moments.py", "pricer.py", "_reference.py"))
 def test_closed_form_imports_no_numpy(name):
-    # the closed form is scalar: its normal density is math.exp, so a price
-    # does not depend on which exp kernel numpy dispatches to
+    # the closed form and its references are scalar: the normal density is
+    # math.exp, so a price does not depend on which exp kernel numpy
+    # dispatches to
     modules = _imported_modules(SRC / "monthlysum" / name)
     assert not [m for m in modules if m == "numpy" or m.startswith("numpy.")]
+
+
+def _sibling_imports(tree: ast.AST):
+    """(node, module) per package module an import names.
+
+    The module is ``x`` for ``from .x``, ``from . import x``,
+    ``from monthlysum.x`` and ``import monthlysum.x``.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node, node.module.split(".")[0]
+            else:
+                yield from ((node, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("monthlysum."):
+            yield node, node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("monthlysum."):
+                    yield node, alias.name.split(".")[1]
+
+
+def _package_sources() -> dict[str, ast.AST]:
+    sources = sorted((SRC / "monthlysum").glob("*.py"))
+    assert sources
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+
+
+def test_no_function_imports_a_package_module():
+    # every package import sits at module level, so the import order is the
+    # one the module headers state and no late import hides a cycle
+    late = []
+    for name, tree in _package_sources().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                late += [(f"{name}.py", node.lineno) for node, _ in _sibling_imports(fn)]
+    assert not late, f"function-level package imports: {late}"
+
+
+def test_package_imports_have_no_cycle():
+    # contracts -> moments -> edgeworth -> _reference -> pricer -> validation
+    graph = {
+        name: {module for _, module in _sibling_imports(tree)} - {name}
+        for name, tree in _package_sources().items()
+    }
+    done: set[str] = set()
+    while len(done) < len(graph):
+        ready = {name for name, deps in graph.items() if name not in done and deps <= done}
+        assert ready, f"import cycle among {sorted(set(graph) - done)}"
+        done |= ready
+    assert "_reference" in graph["pricer"] and "_reference" in graph["validation"]
+
+
+@pytest.mark.parametrize("name", ("moments", "edgeworth"))
+def test_closed_form_imports_nothing_from_the_reference(name):
+    # the oracle and the printed transcriptions check the closed form; the
+    # closed form does not reach back into them
+    modules = {module for _, module in _sibling_imports(_package_sources()[name])}
+    assert "_reference" not in modules
 
 
 def test_only_contracts_holds_the_integer_rule():

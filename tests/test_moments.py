@@ -29,10 +29,9 @@ from monthlysum import (
     price_ms,
     quadrature_moments,
 )
+from monthlysum._reference import _quad_split, _variant_moments
 from monthlysum.moments import (
     PRINTED,
-    _closed_moments,
-    _quad_split,
     _truncation_geometry,
     standard_normal_cdf,
     standard_normal_pdf,
@@ -218,7 +217,7 @@ class TestOnePass:
         orders = tuple(fn(n, market, contract, variant) for n in (1, 2, 3))
         if variant == PRINTED:
             # the printed forms can imply a nonpositive variance, so no MomentSet
-            assert _closed_moments(market, contract, PRINTED) == orders
+            assert _variant_moments(market, contract, PRINTED) == orders
         else:
             mset = closed_form_moments(market, contract)
             assert (mset.i1, mset.i2, mset.i3) == orders
@@ -258,7 +257,7 @@ class TestOnePass:
     )
     def test_geometry_builds(self, monkeypatch, call, builds):
         # each moment set standardizes its contract once, for all three orders
-        from monthlysum import _printed, moments
+        from monthlysum import _reference, moments
 
         count = 0
         build = moments._truncation_geometry
@@ -268,7 +267,7 @@ class TestOnePass:
             count += 1
             return build(market, contract)
 
-        for module in (moments, _printed):
+        for module in (moments, _reference):
             monkeypatch.setattr(module, "_truncation_geometry", counted)
         call()
         assert count == builds

@@ -31,9 +31,9 @@ from monthlysum import (
     ms_correction_quadrature,
     ms_leading,
     price_ms,
-    pricer,
     quadrature_moments,
 )
+from monthlysum import _reference
 from monthlysum.pricer import PriceBreakdown
 from monthlysum.moments import PRINTED, standard_normal_pdf
 from monthlysum.validation import CORRECTION_REL_TOL, REL_DENOM_FLOOR
@@ -188,6 +188,28 @@ class TestPriceMs:
         closed = price_ms(contract, market, correction="closed").ms1
         # measured as the validation suite measures it, with its floor under |quad|
         assert abs(closed - quad) <= CORRECTION_REL_TOL * max(abs(quad), REL_DENOM_FLOOR)
+
+    # a cap 40 monthly standard deviations above the drift never binds to
+    # double precision, so the expansion collapses to Black-Scholes; over
+    # the quote ranges of sigma, term, periods and carry
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        sigma=st.floats(0.05, 0.5),
+        rate=st.floats(0.0, 0.06),
+        div=st.floats(0.0, 0.03),
+        term=st.floats(1.0, 10.0),
+        periods=st.sampled_from((4, 12, 52, 252)),
+    )
+    def test_wide_cap_reduces_to_black_scholes_over_quote_ranges(
+        self, sigma, rate, div, term, periods
+    ):
+        market = MarketParams(
+            rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
+        )
+        cap = math.expm1(market.mu * market.dt + 40.0 * sigma * math.sqrt(market.dt))
+        got = price_ms(ContractSpec(cap=cap), market).total
+        want = bs_call(1.0, 1.0, sigma, rate, div, term)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     # the quote ranges again, kept to where the correction is small on both
     # quotes, |ms1| <= 0.1 |ms0|: outside that a higher cap can price lower
@@ -470,7 +492,7 @@ def _correction_integrand(contract, market):
         return 0.0
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pricer, "_quad_split", capture)
+        patch.setattr(_reference, "_quad_split", capture)
         ms_correction_quadrature(edgeworth_params(contract, market), market)
     (found,) = captured
     return found
@@ -525,7 +547,7 @@ class TestScalarWork:
 
             return wrapper
 
-        quad_split = pricer._quad_split
+        quad_split = _reference._quad_split
 
         def counting_quad_split(fn, *args):
             return quad_split(counted("integrand", fn), *args)
@@ -533,6 +555,6 @@ class TestScalarWork:
         price_ms(contract, MARKET, correction="quadrature")  # warm any lazy imports first
         monkeypatch.setattr(np, "asarray", counted("asarray", np.asarray))
         monkeypatch.setattr(np, "ndim", counted("ndim", np.ndim))
-        monkeypatch.setattr(pricer, "_quad_split", counting_quad_split)
+        monkeypatch.setattr(_reference, "_quad_split", counting_quad_split)
         price_ms(contract, MARKET, correction="quadrature")
         assert counts == {"asarray": 0, "ndim": 0, "integrand": 168}

@@ -88,6 +88,31 @@ class TestCorrectedVariant:
         }
 
 
+class TestSecondaryGrid:
+    def test_terms_and_period_counts_pass_at_default_tolerances(self):
+        # every cap and floor of the main grid at three volatilities, with
+        # terms to 10 years and 4 to 252 periods; the 1200-point grid stays
+        # the gate, this one checks the closed forms off its one-year,
+        # monthly plane
+        main = default_grid()
+        caps = tuple(dict.fromkeys(p.cap for p in main))
+        floors = tuple(dict.fromkeys(p.floor for p in main))
+        grid = tuple(
+            GridPoint(sigma=s, cap=c, floor=f, rate=0.03, div_yield=0.02, term=t, periods=n)
+            for s in (0.05, 0.2, 0.4)
+            for c in caps
+            for f in floors
+            for t in (0.25, 1.0, 10.0)
+            for n in (4, 12, 52, 252)
+        )
+        assert len(set(grid)) == 900
+        report = run_validation(grid)
+        assert report.points == 900
+        assert report.moment_tol == MOMENT_REL_TOL
+        assert report.correction_tol == CORRECTION_REL_TOL
+        assert report.passed, report.failures[:3]
+
+
 class TestPrintedVariant:
     def test_defective_formulas_fail_and_sound_ones_pass(self):
         report = run_validation(SUBGRID, variant=PRINTED)
