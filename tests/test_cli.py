@@ -514,6 +514,13 @@ class TestExitCodes:
         assert code == 3
         assert "variance" in err
 
+    def test_overflowing_volatility_is_three(self, capsys):
+        # sigma^2 overflows; the NaN variance is refused where the moments are
+        # built, as a numerical failure with nothing on stdout
+        code, out, err = run_cli(capsys, "price", "--vol", "1e200")
+        assert (code, out) == (3, "")
+        assert "moment set implies nonpositive variance" in err
+
     def test_numerical_failure_is_three(self, capsys, monkeypatch):
         import monthlysum.cli as cli
 

@@ -29,6 +29,7 @@ from monthlysum import (
     price_ms,
     quadrature_moments,
 )
+from monthlysum import _reference
 from monthlysum._reference import _quad_split, _variant_moments
 from monthlysum.moments import (
     PRINTED,
@@ -194,6 +195,43 @@ class TestClosedVersusQuadrature:
         assert closed == pytest.approx(quad, rel=1e-9, abs=1e-12)
 
 
+class TestMomentIntegrands:
+    # the integrands write the density inline instead of calling
+    # standard_normal_pdf (a call would cost a quarter of each evaluation);
+    # each must still be its formula bit for bit, at both ends of its range
+    # and between them
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        cap=st.floats(0.005, 0.10),
+        floor=st.one_of(st.none(), st.floats(-0.10, 0.0)),
+        sigma=st.floats(0.05, 0.5),
+        rate=st.floats(0.0, 0.06),
+        div=st.floats(0.0, 0.03),
+        periods=st.sampled_from((4, 12, 52, 252)),
+        where=st.floats(0.0, 1.0),
+    )
+    def test_match_their_formula_bit_for_bit(self, cap, floor, sigma, rate, div, periods, where):
+        contract = ContractSpec(cap=cap, floor=floor)
+        market = MarketParams(rate=rate, dividend_yield=div, sigma=sigma, term=1.0, periods=periods)
+        captured = []
+
+        def capture(fn, lo, hi, interior):
+            captured.append((fn, lo, hi))
+            return 0.0
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_reference, "_quad_split", capture)
+            quadrature_moments(market, contract)
+        geo = _truncation_geometry(market, contract)
+        assert len(captured) == 3
+        for n, (integrand, lo, hi) in enumerate(captured, start=1):
+            for z in (lo, lo + where * (hi - lo), hi):
+                got = integrand(z)
+                want = (geo.m + geo.s * z) ** n * standard_normal_pdf(z)
+                assert type(got) is float
+                assert got.hex() == want.hex(), (n, z)
+
+
 class TestOnePass:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -324,6 +362,22 @@ class TestApiGuards:
     def test_moment_set_rejects_nonpositive_variance(self):
         with pytest.raises(NonpositiveVarianceError, match="variance"):
             MomentSet(i1=0.1, i2=0.01, i3=0.0, provenance="closed_form")
+
+    def test_moment_set_rejects_nan_variance(self):
+        # inf - inf is NaN, which a "<= 0" test lets through
+        with pytest.raises(NonpositiveVarianceError, match="i2=nan"):
+            MomentSet(i1=-math.inf, i2=math.nan, i3=math.nan, provenance="closed_form")
+        with pytest.raises(NonpositiveVarianceError, match="i1=-inf, i2=inf"):
+            MomentSet(i1=-math.inf, i2=math.inf, i3=-math.inf, provenance="quadrature")
+
+    @pytest.mark.parametrize("route", (closed_form_moments, quadrature_moments))
+    @pytest.mark.parametrize("contract", (CAP_ONLY, CAP_FLOOR))
+    def test_overflowing_inputs_fail_at_the_moment_set(self, route, contract):
+        # the constructors accept sigma = 1e200, whose sigma^2 overflows: the
+        # moments come out as infinities and NaNs, and the set must refuse them
+        market = MarketParams(rate=1e300, dividend_yield=0.02, sigma=1e200, term=1.0, periods=12)
+        with pytest.raises(NonpositiveVarianceError, match="moment set implies"):
+            route(market, contract)
 
     def test_helper_bundles_report_provenance(self):
         assert closed_form_moments(MARKET, CAP_ONLY).provenance == "closed_form"

@@ -500,7 +500,8 @@ def _correction_integrand(contract, market):
 
 class TestCorrectionIntegrand:
     # the integrand is its formula bit for bit, at every node of [z0, hi] and
-    # in the far tail, where the density is subnormal (z > 37.6) or 0 (z > 38.6)
+    # in the far tail, where the density is subnormal (z > 37.6) or 0 (z > 38.6);
+    # it writes the density inline, and this holds it to standard_normal_pdf
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         cap=st.floats(0.005, 0.10),

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
+from scipy import integrate
 
+from monthlysum._reference import ms_correction_quadrature, quadrature_moments
 from monthlysum.moments import CORRECTED, PRINTED
+from monthlysum.pricer import edgeworth_params
 from monthlysum.validation import (
     CORRECTION_REL_TOL,
     FORMULA_IDS,
@@ -88,6 +93,41 @@ class TestCorrectedVariant:
         }
 
 
+class TestOracle:
+    # the quadrature references at every point of the grid, not only the
+    # worst errors they produce: a sha256 over float.hex() of (I1, I2, I3,
+    # ms1) per point, in grid order
+    def test_every_reference_value_is_bit_exact(self):
+        digest = hashlib.sha256()
+        for point in default_grid():
+            market, contract = point.market(), point.contract()
+            quad = quadrature_moments(market, contract)
+            ms1 = ms_correction_quadrature(edgeworth_params(contract, market), market)
+            for value in (quad.i1, quad.i2, quad.i3, ms1):
+                digest.update(value.hex().encode())
+        assert digest.hexdigest() == (
+            "951377059d5b902785cd43b17f5a00253ddefb697c2e568429e51d12d0e7e657"
+        )
+
+    def test_quadpack_work_over_the_grid_is_pinned(self, monkeypatch):
+        # host-independent: the quad pieces and integrand evaluations one
+        # corrected sweep of the grid costs (7.0 and 368.7 per point)
+        counts = {"pieces": 0, "evaluations": 0}
+        quad = integrate.quad
+
+        def counting_quad(fn, *args, **kwargs):
+            def counted(z):
+                counts["evaluations"] += 1
+                return fn(z)
+
+            counts["pieces"] += 1
+            return quad(counted, *args, **kwargs)
+
+        monkeypatch.setattr(integrate, "quad", counting_quad)
+        assert run_validation().passed
+        assert counts == {"pieces": 8404, "evaluations": 442470}
+
+
 class TestSecondaryGrid:
     def test_terms_and_period_counts_pass_at_default_tolerances(self):
         # every cap and floor of the main grid at three volatilities, with
@@ -123,6 +163,19 @@ class TestPrintedVariant:
         assert "I3_cap" not in failing
         assert {"I2_cap", "ms1_closed"} <= failing
         assert {"I1_capfloor", "I2_capfloor", "I3_capfloor"} <= failing
+
+    def test_full_grid_outcome_is_pinned(self):
+        # the corrected variant fails nowhere on the full grid
+        # (test_full_grid_errors_are_bit_exact); these are the printed counts
+        report = run_validation(variant=PRINTED)
+        assert Counter(f.check for f in report.failures) == {
+            "ms1_closed": 1200,
+            "I1_capfloor": 960,
+            "I2_capfloor": 960,
+            "I3_capfloor": 934,
+            "I2_cap": 238,
+        }
+        assert len(report.discrepancies) == 4292
 
     def test_discrepancies_collected_by_default(self):
         report = run_validation((CAP_POINT,), variant=PRINTED)
