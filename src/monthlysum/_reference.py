@@ -85,14 +85,10 @@ def _integrate_moment(n: int, contract: ContractSpec, geo: _TruncationGeometry) 
         total += contract.log_floor**n * geo.floor_mass
 
     if z_hi > z_lo:
-        # phi is standard_normal_pdf's exact expression, inlined: a call would cost a quarter
-        # of each evaluation. pow(x, 1.0) is x; for n > 1, x*x would round unlike x**n.
-        if n == 1:
-            def integrand(z: float, m=m, s=s, c=_INV_SQRT_2PI, exp=math.exp) -> float:
-                return (m + s * z) * (c * exp(-0.5 * z * z))
-        else:
-            def integrand(z: float, m=m, s=s, n=n, c=_INV_SQRT_2PI, exp=math.exp) -> float:
-                return (m + s * z) ** n * (c * exp(-0.5 * z * z))
+        def integrand(z: float) -> float:
+            # phi is standard_normal_pdf's exact expression, inlined: a call would cost a
+            # quarter of each evaluation
+            return (m + s * z) ** n * (_INV_SQRT_2PI * math.exp(-0.5 * z * z))
 
         # odd powers of x = m + s*z flip sign at z = -m/s
         interior = (-(m / s),) if n % 2 else ()
@@ -123,9 +119,9 @@ def ms_correction_quadrature(ep: EdgeworthParams, market: MarketParams) -> float
     z0 = -a / b
     hi = max(z0, b) + 16.0
 
-    def integrand(z: float, a=a, b=b, c=_INV_SQRT_2PI, exp=math.exp) -> float:
+    def integrand(z: float) -> float:
         # H3(z) = z(z^2 - 3); phi inline, as in _integrate_moment
-        return (exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * (c * exp(-0.5 * z * z))
+        return (math.exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * (_INV_SQRT_2PI * math.exp(-0.5 * z * z))
 
     root3 = math.sqrt(3.0)
     j = _quad_split(integrand, z0, hi, (-root3, 0.0, root3))
