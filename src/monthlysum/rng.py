@@ -12,20 +12,21 @@ id), and no batching of the work can change a draw: it only decides which
 counter blocks share a pass. The Monte Carlo engine draws every payoff from
 the one stream :data:`STREAM_SHARED`.
 
-The four counter words live in uint64 lanes, each holding a value below
-2^32, for all ten rounds. The round multiply then yields the exact 64-bit
-product, whose halves are ``>> 32`` and ``& 0xFFFFFFFF``, with no casts.
-One pass of the rounds covers a tile of :data:`_TILE` lanes taken in order
-from the (path, block) grid of the request, path-major, so a short path
-shares its pass with its neighbours and a request of n paths of b blocks
-makes ceil(n * b / _TILE) passes. Every step works in place on the
-calling thread's scratch lane buffers, and the finished words go straight
-into the output. The normals then overwrite their own words, so an odd
-count is returned as a view that leaves one spare column per row.
+One pass of the rounds covers a tile of :data:`_TILE` lanes (counter
+blocks) taken in order from the (path, block) grid of the request,
+path-major, so n paths of b blocks make ceil(n * b / _TILE) passes. A
+tile's counters are one uint64 (4, n) state with rows (c0, c2, c1, c3),
+each word below 2^32: a round multiply yields the exact 64-bit product,
+and each of a round's five numpy calls covers two rows. The last round
+packs as it goes, since (hi ^ c ^ k) << 32 | lo is product ^ ((c ^ k) << 32),
+so each block's two 64-bit words go straight into the output. The normals
+overwrite them: an odd count is returned as a view with a spare column.
 
-Uniforms are built from 52 of the 64 bits as ((bits >> 12) + 0.5) * 2^-52,
-every value exactly representable and strictly inside (0, 1), so the
-inverse-CDF transform never produces an infinity.
+Uniforms are ((bits >> 12) + 0.5) * 2^-52, each exactly representable and
+strictly inside (0, 1), so the inverse-CDF transform never produces an
+infinity. They are made on the bits: v = bits >> 12 under the exponent of
+1.0 is the double 1 + v * 2^-52, and subtracting 1 - 2^-53 leaves
+(v + 0.5) * 2^-52, representable, so IEEE subtraction returns it exactly.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ __all__ = [
     "philox4x32",
 ]
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_W0 = 0x9E3779B9
-_W1 = 0xBB67AE85
+#: Round multipliers, one per row of the state's top half (c0, c2).
+_MULTIPLIERS = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
+#: Round r adds r times the Weyl constants to the key.
+_KEY_STEPS = np.arange(10, dtype=np.uint64)[:, None, None] * np.uint64([[0x9E3779B9], [0xBB67AE85]])
 _MASK32 = 0xFFFFFFFF
-_ROUNDS = 10
 
 #: Counter blocks (lanes) per pass of the rounds. It bounds the six lane
 #: buffers of a pass to 6 * 8 * _TILE bytes; the draws do not depend on it.
@@ -64,38 +64,38 @@ _scratch = threading.local()
 #: common random numbers.
 STREAM_SHARED = 0
 
-_TWO_NEG_52 = 2.0**-52
 
+def _rounds(state: np.ndarray, product: np.ndarray, key: tuple[int, int], out: np.ndarray) -> None:
+    """Run the ten Philox rounds on a (4, n) ``state`` and write the output words to ``out``.
 
-def _rounds(c0, c1, c2, c3, p0, p1, key0: int, key1: int) -> None:
-    """Run the ten Philox rounds in place on uint64 lanes holding 32-bit words.
-
-    ``p0`` and ``p1`` are scratch lanes of the same length as the counters.
+    ``state`` holds rows (c0, c2, c1, c3) and is overwritten; ``product``
+    is (2, n) scratch. Row 0 of the (2, n) ``out`` receives each block's
+    (c0 << 32) | c1, row 1 its (c2 << 32) | c3.
     """
-    k0 = key0 & _MASK32
-    k1 = key1 & _MASK32
-    for _ in range(_ROUNDS):
-        np.multiply(c0, _M0, out=p0)
-        np.multiply(c2, _M1, out=p1)
-        np.right_shift(p1, 32, out=c0)
-        c0 ^= c1
-        c0 ^= k0
-        np.bitwise_and(p1, _MASK32, out=c1)
-        np.right_shift(p0, 32, out=c2)
-        c2 ^= c3
-        c2 ^= k1
-        np.bitwise_and(p0, _MASK32, out=c3)
-        k0 = (k0 + _W0) & _MASK32
-        k1 = (k1 + _W1) & _MASK32
+    keys = (np.uint64([[key[0] & _MASK32], [key[1] & _MASK32]]) + _KEY_STEPS) & _MASK32
+    top, bottom = state[:2], state[2:]
+    # rows (c2 * M1, c0 * M0), whose halves become (c0, c1) and (c2, c3)
+    swapped = product[::-1]
+    for round_key in keys[:-1]:
+        np.multiply(top, _MULTIPLIERS, out=product)
+        np.right_shift(swapped, 32, out=top)
+        top ^= bottom
+        top ^= round_key
+        np.bitwise_and(swapped, _MASK32, out=bottom)
+    np.multiply(top, _MULTIPLIERS, out=product)
+    bottom ^= keys[-1]
+    bottom <<= 32
+    np.bitwise_xor(swapped, bottom, out=out)
 
 
 def philox4x32(
     counter: tuple[int, int, int, int], key: tuple[int, int]
 ) -> tuple[int, int, int, int]:
     """Encrypt one counter block; exposed for known-answer verification."""
-    lanes = [np.array([word & _MASK32], dtype=np.uint64) for word in counter]
-    _rounds(*lanes, np.empty(1, np.uint64), np.empty(1, np.uint64), key[0], key[1])
-    return tuple(int(word[0]) for word in lanes)
+    state = np.array([[counter[row] & _MASK32] for row in (0, 2, 1, 3)], dtype=np.uint64)
+    words = np.empty((2, 1), dtype=np.uint64)
+    _rounds(state, np.empty_like(words), key, words)
+    return tuple(int(word) >> shift & _MASK32 for word in words[:, 0] for shift in (32, 0))
 
 
 def _to_unit_interval(bits: np.ndarray) -> np.ndarray:
@@ -104,9 +104,9 @@ def _to_unit_interval(bits: np.ndarray) -> np.ndarray:
     Returns the float64 view of ``bits``' memory that now holds the values.
     """
     bits >>= np.uint64(12)
+    bits |= np.uint64(0x3FF0000000000000)  # the exponent of 1.0
     u = bits.view(np.float64)
-    np.add(bits, 0.5, out=u)
-    u *= _TWO_NEG_52
+    u -= 1.0 - 2.0**-53
     return u
 
 
@@ -164,9 +164,9 @@ def _draw_normals(
     """:func:`path_normals` on checked arguments, into the caller's memory.
 
     The raw draws fill ``words``, a C-contiguous uint64 (n_paths,
-    2 * ceil(count / 2)) array. The normals overwrite them and are
-    returned as the float64 view ``[:, :count]`` of that memory, which for
-    an odd count leaves one spare column per row.
+    2 * ceil(count / 2)) array, a tile per :func:`_rounds` call. The
+    normals overwrite them and are returned as the float64 view
+    ``[:, :count]``, which for an odd count leaves a spare column per row.
     """
     n_paths, width = words.shape
     blocks = width // 2
@@ -176,20 +176,20 @@ def _draw_normals(
     buffers = _scratch_array("lanes", (6, _TILE), np.uint64)
     for lo in range(0, lanes, _TILE):
         n = min(_TILE, lanes - lo)
-        c0, c1, c2, c3, p0, p1 = buffers[:, :n]
+        state, product = buffers[:4, :n], buffers[4:, :n]
+        lane, path = product
         # lane lo + i holds block (lo + i) % blocks of path (lo + i) // blocks
-        np.add(_LANE_INDEX[:n], np.uint64(lo), out=p1)
-        np.divmod(p1, np.uint64(blocks), out=(p0, c0))
-        p0 += np.uint64(first_path)
-        np.bitwise_and(p0, _MASK32, out=c1)
-        np.right_shift(p0, 32, out=c2)
-        c3.fill(stream)
-        _rounds(c0, c1, c2, c3, p0, p1, seed, seed >> 32)
+        np.add(_LANE_INDEX[:n], np.uint64(lo), out=lane)
+        # numpy divides by a scalar fast, but its divmod does not
+        np.floor_divide(lane, np.uint64(blocks), out=path)
+        np.multiply(path, np.uint64(blocks), out=state[0])
+        np.subtract(lane, state[0], out=state[0])
+        path += np.uint64(first_path)
+        np.right_shift(path, 32, out=state[1])
+        np.bitwise_and(path, _MASK32, out=state[2])
+        state[3].fill(stream)
         tile = flat[lo : lo + n]
-        np.left_shift(c0, 32, out=tile[:, 0])
-        tile[:, 0] |= c1
-        np.left_shift(c2, 32, out=tile[:, 1])
-        tile[:, 1] |= c3
+        _rounds(state, product, (seed, seed >> 32), tile.T)
         _to_unit_interval(tile)
     normals = words.view(np.float64)[:, :count]
     return ndtri(normals, out=normals)

@@ -7,6 +7,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+#: numpy's AVX-512 kernels, for NPY_DISABLE_CPU_FEATURES to switch off;
+#: naming one the CPU lacks is accepted.
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
 
 def checkout_env() -> dict[str, str]:
     """``os.environ`` with this checkout's ``src/`` first on ``PYTHONPATH``."""

@@ -38,7 +38,7 @@ from monthlysum.pricer import PriceBreakdown
 from monthlysum.moments import PRINTED, standard_normal_pdf
 from monthlysum.validation import CORRECTION_REL_TOL, REL_DENOM_FLOOR
 
-from checkout import checkout_env
+from checkout import NO_AVX512, checkout_env
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
 CAP_ONLY = ContractSpec(cap=0.025)
@@ -419,9 +419,6 @@ CLOSED_PINS = (
     ("-0x1.c9a6e056e3a21p-13", "0x1.0919a35714dd3p-2"),
 )
 
-
-#: numpy's AVX-512 kernels, switched off; naming one the CPU lacks is accepted
-NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 #: prices each (contract, market) pair read from stdin on the quadrature
 #: route and at the defaults, as PriceBreakdown dicts

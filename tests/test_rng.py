@@ -8,7 +8,11 @@ the tiled generator must reproduce its every bit.
 
 from __future__ import annotations
 
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import philox_reference
+from checkout import NO_AVX512, checkout_env
 from monthlysum import rng
 from monthlysum.rng import STREAM_SHARED, _to_unit_interval, path_normals, philox4x32
 
@@ -50,6 +55,17 @@ class TestUniformMapping:
         assert u[0] == 2.0**-53
         assert u[1] == 1.0 - 2.0**-53
         assert np.isfinite(ndtri(u)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.integers(0, 2**64 - 1), max_size=64))
+    def test_matches_the_converted_formula_bit_for_bit(self, words):
+        # the exponent-bit mapping against the integer-to-float formula,
+        # with the extremes of the word and of its 52 kept bits always in
+        extremes = [0, 2**12 - 1, 2**12, 2**63, 2**64 - 2**12, 2**64 - 1]
+        bits = np.array(words + extremes, dtype=np.uint64)
+        want = ((bits >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+        got = _to_unit_interval(bits.copy())
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_sample_mean_and_spread(self):
         z = path_normals(seed=7, first_path=0, n_paths=4000, count=12, stream=STREAM_ONE)
@@ -187,6 +203,80 @@ class TestFrozenReference:
         want = philox_reference.path_normals(*request)
         assert got.shape == want.shape == request[2:4]
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+#: Checks path_normals against the frozen reference on the requests read from
+#: stdin, then prints those results and one multi-block McResult.
+FROZEN_STDIN = (
+    "import json, sys\n"
+    "import numpy as np\n"
+    "import philox_reference\n"
+    "from monthlysum import ContractSpec, MarketParams, McConfig, simulate_ms\n"
+    "from monthlysum.rng import path_normals\n"
+    "bits = lambda z: z.view(np.uint64)\n"
+    "same = [\n"
+    "    np.array_equal(bits(path_normals(*r)), bits(philox_reference.path_normals(*r)))\n"
+    "    for r in json.load(sys.stdin)\n"
+    "]\n"
+    "market = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)\n"
+    "res = simulate_ms(ContractSpec(cap=0.025), market, McConfig(paths=10_000, seed=42))\n"
+    "print(json.dumps([same, res.mean.hex(), res.stderr.hex()]))\n"
+)
+
+
+class TestCpuFeatures:
+    def test_draws_do_not_depend_on_numpys_avx512_kernels(self):
+        # the rounds run on numpy's uint64 multiply and shift kernels, which
+        # dispatch to AVX-512 where the CPU has it
+        requests = [
+            (42, 0, 5000, 13, 0),
+            (2**64 - 1, 2**32 - 100, 900, 61, 1),
+            (3, 2**64 - 2000, 1999, 7, 2**32 - 1),
+            (7, 5, 2, 2 * TILE + 3, 2),
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", FROZEN_STDIN],
+            input=json.dumps(requests),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            cwd=Path(__file__).resolve().parent,
+            env=dict(checkout_env(), NPY_DISABLE_CPU_FEATURES=NO_AVX512),
+        )
+        same, mean, stderr = json.loads(proc.stdout)
+        assert same == [True] * len(requests)
+        # tests/test_montecarlo.py::TestExactPins' 12-period simulate_ms pin
+        assert (float.fromhex(mean), float.fromhex(stderr)) == (
+            0.008112822472706211,
+            0.00026454484491526137,
+        )
+
+
+def _block_normals(seed, path, block, stream):
+    """Block ``block``'s two normals of ``path`` from the known-answer entry point."""
+    w = philox4x32((block, path & 0xFFFFFFFF, path >> 32, stream), (seed & 0xFFFFFFFF, seed >> 32))
+    words = ((w[0] << 32) | w[1], (w[2] << 32) | w[3])
+    return [ndtri(((bits >> 12) + 0.5) * 2.0**-52) for bits in words]
+
+
+class TestLongPaths:
+    @pytest.mark.parametrize("first_path, n_paths", ((2**32 - 2, 3), (2**32 - 1, 2)))
+    def test_blocks_on_both_sides_of_each_tile_boundary(self, first_path, n_paths):
+        # a path of 2 * TILE + 3 normals has TILE + 2 blocks, so its blocks
+        # span three passes and its neighbours' start mid-pass
+        seed, stream, count = 2**63 + 12345, STREAM_ONE, 2 * TILE + 3
+        blocks = (count + 1) // 2
+        z = path_normals(seed, first_path, n_paths, count, stream)
+        lanes = set()
+        for path in range(n_paths):
+            lanes |= {path * blocks, (path + 1) * blocks - 1}
+        for boundary in range(TILE, n_paths * blocks, TILE):
+            lanes |= {boundary - 1, boundary}
+        for lane in sorted(lanes):
+            path, block = divmod(lane, blocks)
+            want = _block_normals(seed, first_path + path, block, stream)[: count - 2 * block]
+            np.testing.assert_array_equal(z[path, 2 * block : 2 * block + 2], want)
 
 
 class TestOnePass:
