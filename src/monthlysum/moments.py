@@ -19,14 +19,18 @@ relative across the validation grid. The quadrature oracle they are
 checked against, and the printed transcriptions they replace, live in
 :mod:`monthlysum._reference` (see :mod:`monthlysum.validation` and the
 ``--printed-formulas`` CLI flag).
+
+Phi is a transcription of the Cephes erfc (S. L. Moshier, *Methods and
+Programs for Mathematical Functions*, 1989) that ``scipy.special.erfc``
+runs, so the module imports no scipy and yet returns scipy's bits;
+``math.erfc`` is another algorithm and would move pinned prices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import erfc
+from typing import NamedTuple
 
 from .contracts import ContractSpec, MarketParams
 from .errors import DegenerateVolatilityError, NonpositiveVarianceError
@@ -50,6 +54,8 @@ MIN_MONTHLY_VOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+#: Cephes' MAXLOG, log(DBL_MAX): past it erfc's exp(-a^2) underflows.
+_MAXLOG = 7.09782712893383996843e2
 
 
 def standard_normal_cdf(z: float) -> float:
@@ -57,10 +63,45 @@ def standard_normal_cdf(z: float) -> float:
 
     Evaluated as 0.5*erfc(-z/sqrt(2)) so the far tails do not suffer the
     cancellation a 0.5*(1 + erf(...)) form would. +inf and -inf map to 1.0
-    and 0.0. scipy's erfc is kept over math.erfc, which rounds some
-    arguments differently and would move pinned output.
+    and 0.0, and NaN to NaN. erfc(a) is Cephes' ``ndtr.c`` step for step:
+    1 - a*T(a^2)/U(a^2) for |a| < 1, exp(-a^2)*P(|a|)/Q(|a|) below 8 and
+    R/S from 8 on, 0 once -a^2 < -MAXLOG, and 2 - erfc(|a|) for a < 0, each
+    rational in Horner form as ``polevl``/``p1evl`` evaluate it. Every step
+    is one IEEE operation on ``math.exp``, so the bits are scipy's wherever
+    its build calls the same C library ``exp`` and fuses no multiply-add
+    (x86-64); ``tests/test_moments.py`` checks them against scipy.
     """
-    return 0.5 * float(erfc(-z / _SQRT2))
+    a = -float(z) / _SQRT2
+    x = abs(a)
+    if x < 1.0:
+        t = a * a
+        erf = a * ((((9.60497373987051638749e0 * t + 9.00260197203842689217e1) * t
+            + 2.23200534594684319226e3) * t + 7.00332514112805075473e3) * t
+            + 5.55923013010394962768e4) / (((((t + 3.35617141647503099647e1) * t
+            + 5.21357949780152679795e2) * t + 4.59432382970980127987e3) * t
+            + 2.26290000613890934246e4) * t + 4.92673942608635921086e4)
+        return 0.5 * (1.0 - erf)
+    t = -a * a
+    if t < -_MAXLOG:
+        return 1.0 if a < 0.0 else 0.0
+    if x < 8.0:
+        p = (((((((2.46196981473530512524e-10 * x + 5.64189564831068821977e-1) * x
+            + 7.46321056442269912687e0) * x + 4.86371970985681366614e1) * x
+            + 1.96520832956077098242e2) * x + 5.26445194995477358631e2) * x
+            + 9.34528527171957607540e2) * x + 1.02755188689515710272e3) * x + 5.57535335369399327526e2
+        q = (((((((x + 1.32281951154744992508e1) * x + 8.67072140885989742329e1) * x
+            + 3.54937778887819891062e2) * x + 9.75708501743205489753e2) * x
+            + 1.82390916687909736289e3) * x + 2.24633760818710981792e3) * x
+            + 1.65666309194161350182e3) * x + 5.57535340817727675546e2
+    else:
+        p = ((((5.64189583547755073984e-1 * x + 1.27536670759978104416e0) * x
+            + 5.01905042251180477414e0) * x + 6.16021097993053585195e0) * x
+            + 7.40974269950448939160e0) * x + 2.97886665372100240670e0
+        q = (((((x + 2.26052863220117276590e0) * x + 9.39603524938001434673e0) * x
+            + 1.20489539808096656605e1) * x + 1.70814450747565897222e1) * x
+            + 9.60896809063285878198e0) * x + 3.36907645100081516050e0
+    y = math.exp(t) * p / q
+    return 0.5 * (2.0 - y if a < 0.0 else y)
 
 
 def standard_normal_pdf(z: float) -> float:
@@ -72,8 +113,7 @@ def standard_normal_pdf(z: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
-@dataclass(frozen=True)
-class _TruncationGeometry:
+class _TruncationGeometry(NamedTuple):
     """The contract standardized against the monthly Gaussian.
 
     ``m`` and ``s`` are the mean mu*dt and standard deviation sigma*sqrt(dt)

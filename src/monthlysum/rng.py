@@ -27,6 +27,8 @@ strictly inside (0, 1), so the inverse-CDF transform never produces an
 infinity. They are made on the bits: v = bits >> 12 under the exponent of
 1.0 is the double 1 + v * 2^-52, and subtracting 1 - 2^-53 leaves
 (v + 0.5) * 2^-52, representable, so IEEE subtraction returns it exactly.
+The normals are scipy's ``ndtri`` of them, imported at the first draw so that
+``import monthlysum`` and a closed-form price never load ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy.special import ndtri
 
 from .contracts import _require_integer
 
@@ -91,8 +92,10 @@ def _rounds(state: np.ndarray, product: np.ndarray, key: tuple[int, int], out: n
 def philox4x32(
     counter: tuple[int, int, int, int], key: tuple[int, int]
 ) -> tuple[int, int, int, int]:
-    """Encrypt one counter block; exposed for known-answer verification."""
-    state = np.array([[counter[row] & _MASK32] for row in (0, 2, 1, 3)], dtype=np.uint64)
+    """Encrypt one block of 32-bit words (ValueError outside [0, 2^32)), for known answers."""
+    counter = [_require_integer(f"counter[{i}]", w, 0, _MASK32) for i, w in enumerate(counter)]
+    key = [_require_integer(f"key[{i}]", w, 0, _MASK32) for i, w in enumerate(key)]
+    state = np.array([[counter[row]] for row in (0, 2, 1, 3)], dtype=np.uint64)
     words = np.empty((2, 1), dtype=np.uint64)
     _rounds(state, np.empty_like(words), key, words)
     return tuple(int(word) >> shift & _MASK32 for word in words[:, 0] for shift in (32, 0))
@@ -191,5 +194,6 @@ def _draw_normals(
         tile = flat[lo : lo + n]
         _rounds(state, product, (seed, seed >> 32), tile.T)
         _to_unit_interval(tile)
+    from scipy.special import ndtri  # deferred: a closed-form quote never loads scipy.special
     normals = words.view(np.float64)[:, :count]
     return ndtri(normals, out=normals)

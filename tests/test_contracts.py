@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import enum
 import math
 
+import numpy as np
 import pytest
 
 from monthlysum import ContractSpec, MarketParams
+from monthlysum.contracts import _require_integer
 
 
 def make_market(**overrides) -> MarketParams:
@@ -116,3 +119,20 @@ class TestBoolFloats:
             bs_call(True, 1.0, 0.2, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="tol"):
             run_validation(tol=True)
+
+
+class TestRequireInteger:
+    # a plain int takes a fast path; every other integer type still goes
+    # through the numbers.Integral check and comes back as a plain int
+    def test_integer_types_come_back_as_plain_ints(self):
+        class Months(enum.IntEnum):
+            YEAR = 12
+
+        for value in (12, np.int64(12), np.uint8(12), Months.YEAR):
+            got = _require_integer("periods", value, 1, 12)
+            assert type(got) is int and got == 12
+
+    @pytest.mark.parametrize("value", (0, 13, True, 12.0, "12", None, 2**64))
+    def test_non_integers_and_out_of_range_are_refused(self, value):
+        with pytest.raises(ValueError, match=r"periods must be an integer in \[1, 12\]"):
+            _require_integer("periods", value, 1, 12)

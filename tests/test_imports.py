@@ -110,6 +110,33 @@ def test_default_price_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_closed_form_leaves_scipy_special_unloaded_until_a_draw():
+    # the normal CDF is a Cephes port on math.exp; only the Monte Carlo
+    # draws' ndtri loads scipy.special, at the first one
+    probe = (
+        "import sys, monthlysum\n"
+        "from monthlysum import ContractSpec, MarketParams, price_ms\n"
+        "from monthlysum.rng import path_normals\n"
+        "market = MarketParams(0.03, 0.02, 0.2, 1.0, 12)\n"
+        "for contract in (ContractSpec(cap=0.025), ContractSpec(cap=0.025, floor=-0.05)):\n"
+        "    price_ms(contract, market)\n"
+        "    price_ms(contract, market, order=0)\n"
+        "states = ['scipy.special' in sys.modules]\n"
+        "path_normals(1, 0, 2, 3, 0)\n"
+        "states.append('scipy.special' in sys.modules)\n"
+        "print(states)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env=checkout_env(),
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[False, True]"
+
+
 def _imported_modules(path: Path) -> set[str]:
     names: set[str] = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -135,6 +162,13 @@ def test_closed_form_imports_no_numpy(name):
     # dispatches to
     modules = _imported_modules(SRC / "monthlysum" / name)
     assert not [m for m in modules if m == "numpy" or m.startswith("numpy.")]
+
+
+@pytest.mark.parametrize("name", ("moments.py", "pricer.py"))
+def test_closed_form_names_no_scipy_module(name):
+    # the closed form runs on the standard library alone, at any depth of the file
+    modules = _imported_modules(SRC / "monthlysum" / name)
+    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
 def _sibling_imports(tree: ast.AST):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 from monthlysum import (
     ContractSpec,
@@ -33,6 +34,7 @@ from monthlysum import _reference
 from monthlysum._reference import _quad_split, _variant_moments
 from monthlysum.moments import (
     PRINTED,
+    _MAXLOG,
     _truncation_geometry,
     standard_normal_cdf,
     standard_normal_pdf,
@@ -67,6 +69,67 @@ class TestNormalHelpers:
             out = fn(z)
             assert type(out) is float
             assert out == fn(float(z))
+
+
+def _neighbours(values):
+    """Each value and the floats one ulp below and above it."""
+    return tuple(
+        v for x in values for v in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+    )
+
+
+#: z at the edges of the port's branches, a = -z/sqrt(2) being erfc's argument:
+#: zeros and subnormals, |a| = 1 and 8, -a*a = -MAXLOG, and the infinities
+CDF_EDGES = _neighbours(
+    (0.0, -0.0, 5e-324, -5e-324)
+    + (math.nextafter(2.2250738585072014e-308, 0.0), -math.nextafter(2.2250738585072014e-308, 0.0))
+    + tuple(sign * z for sign in (1.0, -1.0) for z in (math.sqrt(2.0), 8.0 * math.sqrt(2.0)))
+    + (math.sqrt(2.0 * _MAXLOG), -math.sqrt(2.0 * _MAXLOG))
+) + (math.inf, -math.inf)
+
+
+def _scipy_cdf(z):
+    return 0.5 * float(erfc(-z / math.sqrt(2.0)))
+
+
+class TestCephesErfc:
+    """standard_normal_cdf is scipy's 0.5*erfc(-z/sqrt(2)), bit for bit, without scipy.special.
+
+    The port transcribes the Cephes erfc that scipy runs, one IEEE operation
+    per step, on math.exp. So this holds where scipy's build calls the same
+    C library exp as math.exp and fuses no multiply-add into the Horner
+    steps, as on x86-64; where a build fuses them the last bit may differ.
+    """
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        z=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-40.0, 40.0),
+        )
+    )
+    def test_bits_equal_scipys_erfc(self, z):
+        for x in (z,) + CDF_EDGES:
+            got, want = standard_normal_cdf(x), _scipy_cdf(x)
+            assert got.hex() == want.hex(), x
+        assert math.isnan(standard_normal_cdf(math.nan))
+
+    def test_dense_grid_bits_equal_scipys_erfc(self):
+        # a sampled float rarely lands where a wrong constant's last bit shows;
+        # 160,001 evenly spaced z over [-40, 40] find such a change
+        z = np.linspace(-40.0, 40.0, 160_001)
+        want = 0.5 * erfc(-z / math.sqrt(2.0))
+        got = np.array([standard_normal_cdf(x) for x in z.tolist()])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_edges_take_each_branch(self):
+        # the named edges straddle every branch of the port, so the property
+        # above crosses each boundary in every example
+        a = [abs(-z / math.sqrt(2.0)) for z in CDF_EDGES]
+        assert any(x < 1.0 for x in a) and any(1.0 <= x < 8.0 for x in a)
+        assert any(8.0 <= x and -x * x >= -_MAXLOG for x in a)
+        assert any(-x * x < -_MAXLOG for x in a if math.isfinite(x))
+        assert (standard_normal_cdf(-math.inf), standard_normal_cdf(math.inf)) == (0.0, 1.0)
 
 
 class TestTruncationGeometry:

@@ -432,6 +432,28 @@ PRICE_STDIN = (
 )
 
 
+#: makes scipy.special unimportable, then prices each (contract, market)
+#: pair read from stdin at the defaults (the closed route), as
+#: PriceBreakdown dicts, and reports whether the block held
+CLOSED_WITHOUT_SCIPY_SPECIAL = (
+    "import dataclasses, importlib, json, sys\n"
+    "class Refuse:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'scipy.special' or name.startswith('scipy.special.'):\n"
+    "            raise ModuleNotFoundError(f'{name} is blocked', name=name)\n"
+    "sys.meta_path.insert(0, Refuse())\n"
+    "from monthlysum import ContractSpec, MarketParams, price_ms\n"
+    "pairs = [(ContractSpec(**c), MarketParams(**m)) for c, m in json.load(sys.stdin)]\n"
+    "out = [dataclasses.asdict(price_ms(c, m)) for c, m in pairs]\n"
+    "try:\n"
+    "    importlib.import_module('scipy.special')\n"
+    "    blocked = False\n"
+    "except ModuleNotFoundError:\n"
+    "    blocked = True\n"
+    "print(json.dumps({'blocked': blocked, 'breakdowns': out}))\n"
+)
+
+
 def _hexed(value):
     """``value`` with every float, nested in dicts too, as its float.hex."""
     if isinstance(value, dict):
@@ -478,6 +500,27 @@ class TestExactPins:
         want = [price_ms(c, m, correction="quadrature") for c, m, _ in EXACT_PINS]
         want += [price_ms(c, m) for c, m, _ in EXACT_PINS]
         assert got == [_hexed(dataclasses.asdict(b)) for b in want]
+
+
+    def test_closed_route_needs_no_scipy_special(self):
+        # the same eight closed-route pins, in a process where scipy.special
+        # cannot be imported: the normal CDF is a port of scipy's erfc
+        pairs = [[dataclasses.asdict(c), dataclasses.asdict(m)] for c, m, _ in EXACT_PINS]
+        proc = subprocess.run(
+            [sys.executable, "-c", CLOSED_WITHOUT_SCIPY_SPECIAL],
+            input=json.dumps(pairs),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=checkout_env(),
+        )
+        got = json.loads(proc.stdout)
+        assert got["blocked"]
+        want = [_closed_pin(expected, pin) for (_, _, expected), pin in zip(EXACT_PINS, CLOSED_PINS)]
+        assert [_hexed(b) for b in got["breakdowns"]] == [
+            _hexed(dataclasses.asdict(b)) for b in want
+        ]
 
 
 def _correction_integrand(contract, market):

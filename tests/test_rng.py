@@ -47,6 +47,26 @@ class TestKnownAnswers:
         )
         assert got == (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)
 
+    @pytest.mark.parametrize(
+        "counter, key",
+        (
+            ((2**32, 0, 0, 0), (0, 0)),  # used to encrypt as counter 0
+            ((0, 0, -1, 0), (0, 0)),  # used to encrypt as 2^32 - 1
+            ((0, 0, 0, 0), (2**40, 0)),
+            ((True, 0, 0, 0), (0, 0)),
+            ((0, 0, 0, 0), (0, 1.0)),
+        ),
+        ids=("counter-2^32", "counter-minus-1", "key-2^40", "bool", "float"),
+    )
+    def test_words_outside_32_bits_are_refused(self, counter, key):
+        with pytest.raises(ValueError, match=r"must be an integer in \[0, 4294967295\]"):
+            philox4x32(counter, key)
+
+    def test_numpy_words_give_the_same_block(self):
+        words = tuple(np.uint32(w) for w in (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344))
+        got = philox4x32(words, (np.int64(0xA4093822), 0x299F31D0))
+        assert got == (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)
+
 
 class TestUniformMapping:
     def test_extreme_words_stay_inside_unit_interval(self):
