@@ -25,8 +25,8 @@ input too large for memory included, such as ``--mc-paths 100000000000``;
 a ``sweep`` of more than 10^6 rows is refused up front), 3 numerical
 failure.
 
-``--threads`` is accepted (it must be at least 1) and has no effect: Monte
-Carlo blocks and sweep rows run serially, so output never depends on it.
+``--threads`` (at least 1) of 2 or more lets a helper thread run each Monte
+Carlo draw's ``ndtri`` while the Philox rounds go on; output never depends on it.
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ def _add_mc_flags(parser: argparse.ArgumentParser, paths: int | None, paths_help
     add("--antithetic", nargs="?", type=_boolean, const=True, default=False,
         help="antithetic variate pairing; bare flag means true (default %(default)s)")
     add("--threads", type=int, default=1,
-        help="accepted for compatibility; has no effect (default %(default)s)")
+        help="2 or more runs ndtri on a helper thread; same output (default %(default)s)")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -14,9 +14,9 @@ rows serially in blocks of :data:`BLOCK`, for prices and cumulants alike;
 an antithetic pair reads one row twice, as z and as -z. All reductions
 happen after assembly. A block's normals overwrite its raw words in the
 thread's scratch, leaving a spare column per row for an odd period count.
-The ``threads`` argument (an integer of at least 1) has no effect: each
-block is a run of small numpy calls that hold the GIL between them, so a
-thread pool only added overhead.
+``threads`` (an integer of at least 1) only says whether a block's ``ndtri``
+may overlap its Philox rounds on a helper thread (:mod:`monthlysum.rng`), at
+2 or more; the results are the same at every count.
 
 Both payoffs read the same draws (common random numbers), so their
 difference is a low-variance estimate of the capping-convention gap. The
@@ -126,7 +126,9 @@ def _capped_sums(
     return x.sum(axis=1)
 
 
-def _blocks(seed: int, rows: int, count: int) -> Iterator[tuple[int, int, np.ndarray]]:
+def _blocks(
+    seed: int, rows: int, count: int, threads: int = 1
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """``(start, stop, z)`` per block: ``count`` monthly normals for each draw row in [start, stop).
 
     The blocks cover rows [0, ``rows``) of the shared stream in order, :data:`BLOCK`
@@ -135,7 +137,7 @@ def _blocks(seed: int, rows: int, count: int) -> Iterator[tuple[int, int, np.nda
     for start in range(0, rows, BLOCK):
         stop = min(start + BLOCK, rows)
         words = _scratch_array("words", (stop - start, count + count % 2), np.uint64)
-        yield start, stop, _draw_normals(words, seed, start, count, STREAM_SHARED)
+        yield start, stop, _draw_normals(words, seed, start, count, STREAM_SHARED, threads)
 
 
 def _run(
@@ -164,7 +166,7 @@ def _run(
         chunk = rows[lo : lo + per_pass]
         payoffs = np.empty((len(chunk), len(signed), draws), dtype=np.float64)
         last = (len(signed) - 1, len(chunk) - 1)
-        for start, stop, z in _blocks(cfg.seed, draws, max(market.periods for _, market in chunk)):
+        for start, stop, z in _blocks(cfg.seed, draws, max(m.periods for _, m in chunk), threads):
             for i, (log_payoff, sign) in enumerate(signed):
                 for r, (contract, market) in enumerate(chunk):
                     sums = _capped_sums(
@@ -190,7 +192,7 @@ def simulate_ms(
 ) -> McResult:
     """Price the contract: discounted max(sum of capped simple returns, 0).
 
-    ``threads``, an integer of at least 1, has no effect; blocks run serially.
+    ``threads`` >= 2 overlaps the draws' two halves on two threads; no bit changes.
     """
     return _run(((contract, market),), cfg, (False,), threads)[0][0]
 
@@ -200,7 +202,7 @@ def simulate_msln(
 ) -> McResult:
     """Price the lognormal proxy: discounted max(exp(capped log sum) - 1, 0).
 
-    ``threads``, an integer of at least 1, has no effect; blocks run serially.
+    ``threads`` >= 2 overlaps the draws' two halves on two threads; no bit changes.
     """
     return _run(((contract, market),), cfg, (True,), threads)[0][0]
 
@@ -230,10 +232,10 @@ def empirical_cumulants(
     sums = np.empty(cfg.paths, dtype=np.float64)
     for start, stop, z in _blocks(cfg.seed, cfg.paths, market.periods):
         sums[start:stop] = _capped_sums(contract, market, z, True, 1.0, in_place=True)
-    # k-statistics from the power sums S_r, in the operation order of
-    # SciPy's kstat so the values match it bit for bit
+    # k-statistics from the power sums S_r, in SciPy's kstat formulas; the powers
+    # are products, as numpy's power kernel rounds differently under AVX-512
     size = sums.size
-    s1, s2, s3 = (np.sum(sums**k) for k in (1, 2, 3))
+    s1, s2, s3 = np.sum(sums), np.sum(sums * sums), np.sum(sums * sums * sums)
     k1 = s1 * 1.0 / size
     k2 = (size * s2 - s1**2.0) / (size * (size - 1.0))
     k3 = (2 * s1**3 - 3 * size * s1 * s2 + size * size * s3) / (

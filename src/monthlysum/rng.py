@@ -27,12 +27,17 @@ strictly inside (0, 1), so the inverse-CDF transform never produces an
 infinity. They are made on the bits: v = bits >> 12 under the exponent of
 1.0 is the double 1 + v * 2^-52, and subtracting 1 - 2^-53 leaves
 (v + 0.5) * 2^-52, representable, so IEEE subtraction returns it exactly.
-The normals are scipy's ``ndtri`` of them, imported at the first draw so that
-``import monthlysum`` and a closed-form price never load ``scipy.special``.
+The normals are scipy's ``ndtri`` of them, tile by tile, imported at the first
+draw so that ``import monthlysum`` and a closed-form price never load
+``scipy.special``. At ``threads`` >= 2 on at least 2 allowed CPUs, one helper
+thread (started at the first such draw) runs it, releasing the GIL, while the
+caller runs the next tile's rounds and half of the last tile; ``ndtri`` is
+elementwise, so no bit depends on the thread count.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -60,6 +65,12 @@ _LANE_INDEX = np.arange(_TILE, dtype=np.uint64)
 
 #: Each thread's work arrays by role (see _scratch_array).
 _scratch = threading.local()
+
+#: The helper thread's job queue, once started (see _helper_queue).
+_helper: list = []
+_helper_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a forked child has no helper thread
+    os.register_at_fork(after_in_child=_helper.clear)
 
 #: The stream id of every Monte Carlo draw, so that all payoffs read
 #: common random numbers.
@@ -161,8 +172,33 @@ def path_normals(seed: int, first_path: int, n_paths: int, count: int, stream: i
     return _draw_normals(words, seed, first_path, count, stream)
 
 
+def _serve(jobs) -> None:
+    """The helper thread: run each ``(ndtri, u, done)`` job in place, then report to ``done``."""
+    while True:
+        ndtri, u, done = jobs.get()
+        try:
+            ndtri(u, out=u)
+            done.put(None)
+        except Exception as error:  # handed to the waiting draw, which raises it
+            done.put(error)
+
+
+def _helper_queue(threads: int):
+    """The helper's job queue (its thread started at first use), or None on one allowed CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if threads < 2 or (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
+        return None
+    with _helper_lock:
+        if not _helper:
+            import queue  # deferred: import monthlysum loads no new module
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="monthlysum-ndtri", daemon=True).start()
+            _helper.append(jobs)
+        return _helper[0]
+
+
 def _draw_normals(
-    words: np.ndarray, seed: int, first_path: int, count: int, stream: int
+    words: np.ndarray, seed: int, first_path: int, count: int, stream: int, threads: int = 1
 ) -> np.ndarray:
     """:func:`path_normals` on checked arguments, into the caller's memory.
 
@@ -170,30 +206,45 @@ def _draw_normals(
     2 * ceil(count / 2)) array, a tile per :func:`_rounds` call. The
     normals overwrite them and are returned as the float64 view
     ``[:, :count]``, which for an odd count leaves a spare column per row.
+    At ``threads`` >= 2 every helper job is done before this returns or raises.
     """
+    from scipy.special import ndtri  # deferred: a closed-form quote never loads scipy.special
+
     n_paths, width = words.shape
     blocks = width // 2
     lanes = n_paths * blocks
     # two words per block, written in column order: row p is path p's draws
     flat = words.reshape(lanes, 2)
     buffers = _scratch_array("lanes", (6, _TILE), np.uint64)
-    for lo in range(0, lanes, _TILE):
-        n = min(_TILE, lanes - lo)
-        state, product = buffers[:4, :n], buffers[4:, :n]
-        lane, path = product
-        # lane lo + i holds block (lo + i) % blocks of path (lo + i) // blocks
-        np.add(_LANE_INDEX[:n], np.uint64(lo), out=lane)
-        # numpy divides by a scalar fast, but its divmod does not
-        np.floor_divide(lane, np.uint64(blocks), out=path)
-        np.multiply(path, np.uint64(blocks), out=state[0])
-        np.subtract(lane, state[0], out=state[0])
-        path += np.uint64(first_path)
-        np.right_shift(path, 32, out=state[1])
-        np.bitwise_and(path, _MASK32, out=state[2])
-        state[3].fill(stream)
-        tile = flat[lo : lo + n]
-        _rounds(state, product, (seed, seed >> 32), tile.T)
-        _to_unit_interval(tile)
-    from scipy.special import ndtri  # deferred: a closed-form quote never loads scipy.special
-    normals = words.view(np.float64)[:, :count]
-    return ndtri(normals, out=normals)
+    jobs = _helper_queue(threads)
+    done = None if jobs is None else type(jobs)()  # this draw's replies
+    pending = 0
+    try:
+        for lo in range(0, lanes, _TILE):
+            n = min(_TILE, lanes - lo)
+            state, product = buffers[:4, :n], buffers[4:, :n]
+            lane, path = product
+            # lane lo + i holds block (lo + i) % blocks of path (lo + i) // blocks
+            np.add(_LANE_INDEX[:n], np.uint64(lo), out=lane)
+            # numpy divides by a scalar fast, but its divmod does not
+            np.floor_divide(lane, np.uint64(blocks), out=path)
+            np.multiply(path, np.uint64(blocks), out=state[0])
+            np.subtract(lane, state[0], out=state[0])
+            path += np.uint64(first_path)
+            np.right_shift(path, 32, out=state[1])
+            np.bitwise_and(path, _MASK32, out=state[2])
+            state[3].fill(stream)
+            tile = flat[lo : lo + n]
+            _rounds(state, product, (seed, seed >> 32), tile.T)
+            u = _to_unit_interval(tile).reshape(-1)
+            if jobs is not None:
+                handed = n if lo + n == lanes else 2 * n  # the last tile: its first half
+                jobs.put((ndtri, u[:handed], done))
+                pending += 1
+                u = u[handed:]
+            ndtri(u, out=u)
+    finally:
+        errors = [error for error in (done.get() for _ in range(pending)) if error]
+    if errors:
+        raise errors[0]
+    return words.view(np.float64)[:, :count]

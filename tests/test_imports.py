@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -147,12 +148,51 @@ def _imported_modules(path: Path) -> set[str]:
     return names
 
 
-def test_no_module_imports_concurrent_futures():
+def test_only_rng_starts_a_thread():
+    # rng's one ndtri helper is the package's only thread; a pool over whole
+    # blocks fought over the GIL and lost
+    concurrency = {"threading", "_thread", "queue", "concurrent", "multiprocessing"}
     sources = sorted((SRC / "monthlysum").glob("*.py"))
-    assert sources
-    for path in sources:
-        for module in _imported_modules(path):
-            assert not module.startswith("concurrent"), f"{path.name} imports {module}"
+    users = [
+        path.name
+        for path in sources
+        if any(module.split(".")[0] in concurrency for module in _imported_modules(path))
+    ]
+    assert users == ["rng.py"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_threads_start_a_thread_only_where_it_can_pay():
+    # threads=1, or threads=2 on one allowed CPU, starts nothing; threads=2 on
+    # two CPUs starts the one helper, and later calls reuse it
+    probe = (
+        "import os, threading\n"
+        "from monthlysum import ContractSpec, MarketParams, McConfig, simulate_ms\n"
+        "market = MarketParams(0.03, 0.02, 0.2, 1.0, 12)\n"
+        "args = ContractSpec(cap=0.025), market, McConfig(paths=5000)\n"
+        "cpus = os.sched_getaffinity(0)\n"
+        "counts = [threading.active_count()]\n"
+        "simulate_ms(*args, threads=1)\n"
+        "counts.append(threading.active_count())\n"
+        "os.sched_setaffinity(0, {min(cpus)})\n"
+        "simulate_ms(*args, threads=2)\n"
+        "counts.append(threading.active_count())\n"
+        "os.sched_setaffinity(0, cpus)\n"
+        "for _ in range(2):\n"
+        "    simulate_ms(*args, threads=2)\n"
+        "    counts.append(threading.active_count())\n"
+        "print(counts)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env=checkout_env(),
+    )
+    helper = 1 if len(os.sched_getaffinity(0)) >= 2 else 0
+    assert out.stdout.strip().splitlines()[-1] == str([1, 1, 1, 1 + helper, 1 + helper])
 
 
 @pytest.mark.parametrize("name", ("moments.py", "pricer.py", "_reference.py"))

@@ -25,7 +25,7 @@ from monthlysum import (
     simulate_ms,
     simulate_msln,
 )
-from monthlysum import montecarlo
+from monthlysum import montecarlo, rng
 from monthlysum.cli import main
 from monthlysum.montecarlo import _PAIR, BLOCK, _run
 from monthlysum.rng import STREAM_SHARED, path_normals
@@ -39,9 +39,9 @@ def _count_path_normals(monkeypatch) -> list[int]:
     streams: list[int] = []
     draw = montecarlo._draw_normals
 
-    def counted(words, seed, first_path, count, stream):
+    def counted(words, seed, first_path, count, stream, threads=1):
         streams.append(stream)
-        return draw(words, seed, first_path, count, stream)
+        return draw(words, seed, first_path, count, stream, threads)
 
     monkeypatch.setattr(montecarlo, "_draw_normals", counted)
     return streams
@@ -252,7 +252,8 @@ def _antithetic_reference(contract, market, paths, seed, log_payoff):
 class TestAntithetic:
     def test_pairs_mirror_the_base_draws(self):
         """Each antithetic result is its definition on draw rows z and -z, bit for bit."""
-        for paths in (8, 2 * BLOCK + 38):
+        # 4 paths, the fewest pairing accepts
+        for paths in (4, 8, 2 * BLOCK + 38):
             cfg = McConfig(paths=paths, seed=3, antithetic=True)
             for contract in (CAP_ONLY, ContractSpec(cap=0.025, floor=-0.05)):
                 for simulate, log_payoff in ((simulate_ms, False), (simulate_msln, True)):
@@ -291,11 +292,25 @@ class TestScratch:
         assert np.array_equal(second.view(np.uint64), fresh.view(np.uint64))
 
     def test_threads_price_as_if_alone(self):
+        # at threads=2 both callers hand tiles to the one helper thread
         cfgs = [McConfig(paths=3 * BLOCK + 10, seed=seed) for seed in range(6)]
         alone = [simulate_ms(CAP_ONLY, MARKET, cfg) for cfg in cfgs]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            together = list(pool.map(lambda cfg: simulate_ms(CAP_ONLY, MARKET, cfg), cfgs))
-        assert together == alone
+        for threads in (1, 2):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                together = list(pool.map(lambda c: simulate_ms(CAP_ONLY, MARKET, c, threads), cfgs))
+            assert together == alone
+
+    def test_a_closed_generator_leaves_no_job_behind(self):
+        # 60 periods make 8 tiles a block, so the helper holds several jobs at once
+        fresh = path_normals(5, 0, BLOCK, 60, STREAM_SHARED).copy()
+        blocks = montecarlo._blocks(5, 3 * BLOCK, 60, threads=2)
+        _, _, first = next(blocks)
+        blocks.close()
+        # the block was whole when yielded, and nothing is left for the helper
+        assert np.array_equal(first.view(np.uint64), fresh.view(np.uint64))
+        assert all(jobs.empty() for jobs in rng._helper)
+        cfg = McConfig(paths=BLOCK + 10, seed=5)
+        assert simulate_ms(CAP_ONLY, MARKET, cfg, threads=2) == simulate_ms(CAP_ONLY, MARKET, cfg)
 
 
 class TestAgainstIndependentTruth:
@@ -397,6 +412,12 @@ class TestConfigGuards:
             McConfig(paths=100, seed=-1)
         with pytest.raises(ValueError, match="seed"):
             McConfig(paths=100, seed=2**64)
+        # the largest key prices
+        res = simulate_ms(CAP_ONLY, MARKET, McConfig(paths=100, seed=2**64 - 1))
+        assert math.isfinite(res.mean) and res.paths_used == 100
+
+    def test_default_seed(self):
+        assert McConfig(paths=100).seed == 42
 
     def test_thread_minimum(self):
         with pytest.raises(ValueError, match="threads"):

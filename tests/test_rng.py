@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from scipy.special import ndtri
 
 import philox_reference
 from checkout import NO_AVX512, checkout_env
-from monthlysum import rng
+from monthlysum import ContractSpec, MarketParams, McConfig, empirical_cumulants, rng
 from monthlysum.rng import STREAM_SHARED, _to_unit_interval, path_normals, philox4x32
 
 #: Two stream ids besides the engine's; path_normals takes any id in [0, 2^32).
@@ -226,22 +228,35 @@ class TestFrozenReference:
 
 
 #: Checks path_normals against the frozen reference on the requests read from
-#: stdin, then prints those results and one multi-block McResult.
+#: stdin, then prints those results, one multi-block McResult at 1 and at 2
+#: threads, and seed 7's k-statistics (KSTAT_MARKET).
 FROZEN_STDIN = (
     "import json, sys\n"
     "import numpy as np\n"
     "import philox_reference\n"
     "from monthlysum import ContractSpec, MarketParams, McConfig, simulate_ms\n"
+    "from monthlysum import empirical_cumulants\n"
     "from monthlysum.rng import path_normals\n"
+    "KSTAT_MARKET = MarketParams(0.03, 0.02, 0.05, 1.0, 12)\n"
     "bits = lambda z: z.view(np.uint64)\n"
     "same = [\n"
     "    np.array_equal(bits(path_normals(*r)), bits(philox_reference.path_normals(*r)))\n"
     "    for r in json.load(sys.stdin)\n"
     "]\n"
     "market = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)\n"
-    "res = simulate_ms(ContractSpec(cap=0.025), market, McConfig(paths=10_000, seed=42))\n"
-    "print(json.dumps([same, res.mean.hex(), res.stderr.hex()]))\n"
+    "res = [\n"
+    "    simulate_ms(ContractSpec(cap=0.025), market, McConfig(paths=10_000, seed=42), threads)\n"
+    "    for threads in (1, 2)\n"
+    "]\n"
+    "cfg = McConfig(paths=16_384, seed=7)\n"
+    "k = empirical_cumulants(ContractSpec(cap=0.025), KSTAT_MARKET, cfg)\n"
+    "kstats = [k.iota1.hex(), k.iota2.hex(), k.iota3.hex()]\n"
+    "print(json.dumps([same, [[r.mean.hex(), r.stderr.hex()] for r in res], kstats]))\n"
 )
+
+#: Seed 7's k-statistics at this sigma moved in their last bits with numpy's
+#: AVX-512 power kernel, when the power sums were taken with ``**``.
+KSTAT_MARKET = MarketParams(0.03, 0.02, 0.05, 1.0, 12)
 
 
 class TestCpuFeatures:
@@ -264,13 +279,18 @@ class TestCpuFeatures:
             cwd=Path(__file__).resolve().parent,
             env=dict(checkout_env(), NPY_DISABLE_CPU_FEATURES=NO_AVX512),
         )
-        same, mean, stderr = json.loads(proc.stdout)
+        same, results, kstats = json.loads(proc.stdout)
         assert same == [True] * len(requests)
-        # tests/test_montecarlo.py::TestExactPins' 12-period simulate_ms pin
-        assert (float.fromhex(mean), float.fromhex(stderr)) == (
-            0.008112822472706211,
-            0.00026454484491526137,
-        )
+        # tests/test_montecarlo.py::TestExactPins' 12-period simulate_ms pin, at 1 and 2 threads
+        for mean, stderr in results:
+            assert (float.fromhex(mean), float.fromhex(stderr)) == (
+                0.008112822472706211,
+                0.00026454484491526137,
+            )
+        # the power sums are products, the same on either kernel set
+        cfg = McConfig(paths=16_384, seed=7)
+        here = empirical_cumulants(ContractSpec(cap=0.025), KSTAT_MARKET, cfg)
+        assert [float.fromhex(k) for k in kstats] == [here.iota1, here.iota2, here.iota3]
 
 
 def _block_normals(seed, path, block, stream):
@@ -314,3 +334,59 @@ class TestOnePass:
         path_normals(seed=3, first_path=0, n_paths=4096, count=count, stream=0)
         # one pass per counter block would make count / 2 passes (30, 6)
         assert passes == math.ceil(4096 * (count // 2) / TILE)
+
+
+#: Whether this process may run on two CPUs, so that threads=2 starts the helper.
+TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+class TestHelper:
+    @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
+    def test_a_failed_job_raises_in_the_draw(self, monkeypatch):
+        import scipy.special
+
+        def failing(u, out):
+            if threading.current_thread().name == "monthlysum-ndtri":
+                raise FloatingPointError("helper job")
+            return ndtri(u, out=out)
+
+        words = np.empty((4096, 12), dtype=np.uint64)
+        monkeypatch.setattr(scipy.special, "ndtri", failing)
+        with pytest.raises(FloatingPointError, match="helper job"):
+            rng._draw_normals(words, 1, 0, 12, STREAM_SHARED, 2)
+        monkeypatch.undo()
+        # the helper survives the failure and serves the next draw
+        z = rng._draw_normals(words, 1, 0, 12, STREAM_SHARED, 2)
+        fresh = path_normals(1, 0, 4096, 12, STREAM_SHARED)
+        assert np.array_equal(z.view(np.uint64), fresh.view(np.uint64))
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
+    def test_callers_racing_to_start_the_helper_share_one(self):
+        # six callers reach the first threads=2 draw together, with the
+        # interpreter switching threads as often as it can
+        probe = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "from monthlysum.rng import _draw_normals, path_normals\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "start, same = threading.Barrier(6), []\n"
+            "def draw(seed):\n"
+            "    words = np.empty((3000, 60), dtype=np.uint64)\n"
+            "    start.wait(timeout=30)\n"
+            "    z = _draw_normals(words, seed, 0, 60, 0, 2).view(np.uint64)\n"
+            "    same.append(np.array_equal(z, path_normals(seed, 0, 3000, 60, 0).view(np.uint64)))\n"
+            "callers = [threading.Thread(target=draw, args=(seed,)) for seed in range(6)]\n"
+            "for caller in callers: caller.start()\n"
+            "for caller in callers: caller.join(timeout=60)\n"
+            "helpers = [t for t in threading.enumerate() if t.name == 'monthlysum-ndtri']\n"
+            "print(len(helpers), sum(same), any(caller.is_alive() for caller in callers))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=checkout_env(),
+        )
+        assert out.stdout.strip().splitlines()[-1] == "1 6 False"
