@@ -12,8 +12,9 @@ on its one stream :data:`~monthlysum.rng.STREAM_SHARED`, so a path's
 normals are a pure function of (seed, draw row). One generator walks the
 rows serially in blocks of :data:`BLOCK`, for prices and cumulants alike;
 an antithetic pair reads one row twice, as z and as -z. All reductions
-happen after assembly. A block's normals overwrite its raw words in the
-thread's scratch, leaving a spare column per row for an odd period count.
+happen after assembly. A block is period-major, (periods, paths), in the
+thread's scratch (a spare last row for an odd period count); a payoff reads
+its leading rows and sums each path in numpy's pairwise order on whole rows.
 ``threads`` (an integer of at least 1) only says whether a block's ``ndtri``
 may overlap its Philox rounds on a helper thread (:mod:`monthlysum.rng`), at
 2 or more; the results are the same at every count.
@@ -24,7 +25,7 @@ rows of a ``sweep`` share them too: their normals do not depend on sigma,
 cap, floor, rate or dividend, and a path's first n normals are the same
 whatever count is drawn. One pass over the blocks draws each block once,
 at the widest period count, and every payoff of every row reads its
-leading columns. A pass keeps rows x payoffs x paths values alive, so
+leading rows. A pass keeps rows x payoffs x paths values alive, so
 rows share a pass only as far as :data:`_PASS_VALUES` (32 MiB) allows;
 the rest take further passes, with the same results.
 """
@@ -103,7 +104,7 @@ def _capped_sums(
     sign: float,
     in_place: bool,
 ) -> np.ndarray:
-    """Per-path sums of the capped (and floored) monthly returns on the normals ``sign * z``.
+    """Per-path sums of the capped (and floored) monthly returns on ``sign * z``, (periods, paths).
 
     Log returns bounded by ``log_cap``/``log_floor`` when ``log_returns``,
     otherwise simple returns bounded by ``cap``/``floor``. ``z`` is
@@ -123,7 +124,30 @@ def _capped_sums(
     np.minimum(x, cap, out=x)
     if floor is not None:
         np.maximum(x, floor, out=x)
-    return x.sum(axis=1)
+    return _pairwise_rows(x)
+
+
+def _pairwise_rows(x: np.ndarray) -> np.ndarray:
+    """Each column's sum, bit for bit numpy's ``sum(axis=1)`` of ``x.T``, added up in ``x[0]``.
+
+    numpy's ``pairwise_sum`` on whole rows: in order under 8 terms; to 128, eight accumulators
+    combined pairwise, then the rest in order; past that, halves cut at a multiple of 8.
+    """
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(_pairwise_rows(x[:half]), _pairwise_rows(x[half:]), out=x[0])
+    rest = 1 if n < 8 else n - n % 8  # x[rest:] is added to x[0] in order
+    if n >= 8:
+        for i in range(8, rest, 8):
+            x[:8] += x[i : i + 8]
+        x[0:8:2] += x[1:8:2]
+        x[0:8:4] += x[2:8:4]
+        x[0] += x[4]
+    for row in x[rest:]:
+        x[0] += row
+    x[0] += 0.0  # the reduction's initial value, which only turns -0.0 into 0.0
+    return x[0]
 
 
 def _blocks(
@@ -136,7 +160,7 @@ def _blocks(
     """
     for start in range(0, rows, BLOCK):
         stop = min(start + BLOCK, rows)
-        words = _scratch_array("words", (stop - start, count + count % 2), np.uint64)
+        words = _scratch_array("words", (count + count % 2, stop - start), np.uint64)
         yield start, stop, _draw_normals(words, seed, start, count, STREAM_SHARED, threads)
 
 
@@ -153,7 +177,7 @@ def _run(
     averaged into one sample. The rows are cut into passes, as many to a pass as
     keep its payoffs within :data:`_PASS_VALUES`. A pass draws each block once,
     at the widest period count among its rows, and each row reads its leading
-    ``periods`` columns: a path's normals do not depend on how many are drawn.
+    ``periods`` rows of it: a path's normals do not depend on how many are drawn.
     Only the last (signed leg, row) of a pass works on the block in place.
     """
     _require_integer("threads", threads, 1)
@@ -170,18 +194,21 @@ def _run(
             for i, (log_payoff, sign) in enumerate(signed):
                 for r, (contract, market) in enumerate(chunk):
                     sums = _capped_sums(
-                        contract, market, z[:, : market.periods], log_payoff, sign, (i, r) == last
+                        contract, market, z[: market.periods], log_payoff, sign, (i, r) == last
                     )
                     if log_payoff:
                         np.expm1(sums, out=sums)
                     np.maximum(sums, 0.0, out=payoffs[r, i, start:stop])
 
         samples = 0.5 * (payoffs[:, 0::2] + payoffs[:, 1::2]) if cfg.antithetic else payoffs
-        root = math.sqrt(samples.shape[-1])
+        n = samples.shape[-1]
         for (_, market), row in zip(chunk, samples):
             discount = math.exp(-market.rate * market.term)
-            stats = [(float(leg.mean()), float(leg.std(ddof=1) / root)) for leg in row]
-            results.append(tuple(McResult(discount * m, discount * s, cfg.paths) for m, s in stats))
+            stats = []
+            for leg in row:  # mean() and std(ddof=1) in numpy's own steps, one sum each
+                mean = np.add.reduce(leg) / n
+                stats.append((mean, math.sqrt(np.add.reduce(np.square(leg - mean)) / (n - 1)) / math.sqrt(n)))
+            results.append(tuple(McResult(discount * float(m), discount * s, cfg.paths) for m, s in stats))
         # free this pass's payoffs before the next pass allocates its own
         del payoffs, samples, row
     return results

@@ -12,15 +12,18 @@ id), and no batching of the work can change a draw: it only decides which
 counter blocks share a pass. The Monte Carlo engine draws every payoff from
 the one stream :data:`STREAM_SHARED`.
 
-One pass of the rounds covers a tile of :data:`_TILE` lanes (counter
-blocks) taken in order from the (path, block) grid of the request,
-path-major, so n paths of b blocks make ceil(n * b / _TILE) passes. A
-tile's counters are one uint64 (4, n) state with rows (c0, c2, c1, c3),
-each word below 2^32: a round multiply yields the exact 64-bit product,
-and each of a round's five numpy calls covers two rows. The last round
-packs as it goes, since (hi ^ c ^ k) << 32 | lo is product ^ ((c ^ k) << 32),
-so each block's two 64-bit words go straight into the output. The normals
-overwrite them: an odd count is returned as a view with a spare column.
+Draws are period-major: rows 2b and 2b + 1 of a request's (2 * blocks,
+n_paths) words hold block b's two words for every path. A pass of the
+rounds covers a tile of at most :data:`_TILE` lanes (counter blocks): whole
+block rows or, past _TILE paths, a path range of one, so its output is a
+slab of rows. Its counters are one uint64 (4, rows, n) state with rows
+(c0, c2, c1, c3), each word below 2^32: a round multiply yields the exact
+64-bit product, and each of a round's five numpy calls covers two rows. As
+c0 depends on the block alone and (c1, c2) on the path alone, rounds 0 and
+1 run on those vectors, and round 1 writes the state by broadcasting. The
+last round packs as it goes, since (hi ^ c ^ k) << 32 | lo is
+product ^ ((c ^ k) << 32), writing each block's two words into their rows;
+the normals overwrite them, and an odd count leaves a spare last row.
 
 Uniforms are ((bits >> 12) + 0.5) * 2^-52, each exactly representable and
 strictly inside (0, 1), so the inverse-CDF transform never produces an
@@ -31,8 +34,9 @@ The normals are scipy's ``ndtri`` of them, tile by tile, imported at the first
 draw so that ``import monthlysum`` and a closed-form price never load
 ``scipy.special``. At ``threads`` >= 2 on at least 2 allowed CPUs, one helper
 thread (started at the first such draw) runs it, releasing the GIL, while the
-caller runs the next tile's rounds and half of the last tile; ``ndtri`` is
-elementwise, so no bit depends on the thread count.
+caller runs the next tile's rounds and half of the last tile's rows, for
+draws of at least :data:`_HANDOFF_LANES` blocks; ``ndtri`` is elementwise,
+so no bit depends on the thread count.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ __all__ = [
 ]
 
 #: Round multipliers, one per row of the state's top half (c0, c2).
-_MULTIPLIERS = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
+_MULTIPLIERS = np.array([[[0xD2511F53]], [[0xCD9E8D57]]], dtype=np.uint64)
 #: Round r adds r times the Weyl constants to the key.
 _KEY_STEPS = np.arange(10, dtype=np.uint64)[:, None, None] * np.uint64([[0x9E3779B9], [0xBB67AE85]])
 _MASK32 = 0xFFFFFFFF
@@ -60,8 +64,12 @@ _MASK32 = 0xFFFFFFFF
 #: buffers of a pass to 6 * 8 * _TILE bytes; the draws do not depend on it.
 _TILE = 12288
 
-#: Lane offsets within a tile, shared read-only by every pass.
-_LANE_INDEX = np.arange(_TILE, dtype=np.uint64)
+#: Offsets of a tile's block rows and paths, shared read-only by every pass.
+_OFFSETS = np.arange(_TILE, dtype=np.uint64)
+
+#: Counter blocks below which a draw at threads >= 2 runs serially: the hand-off
+#: lost up to 200 x 12 normals (1200 blocks) and won from 400 x 12 (BENCH_12.json).
+_HANDOFF_LANES = 2048
 
 #: Each thread's work arrays by role (see _scratch_array).
 _scratch = threading.local()
@@ -77,18 +85,24 @@ if hasattr(os, "register_at_fork"):  # a forked child has no helper thread
 STREAM_SHARED = 0
 
 
-def _rounds(state: np.ndarray, product: np.ndarray, key: tuple[int, int], out: np.ndarray) -> None:
-    """Run the ten Philox rounds on a (4, n) ``state`` and write the output words to ``out``.
+def _round_keys(key: tuple[int, int]) -> np.ndarray:
+    """The ten round keys of a key's 32-bit halves, each (2, 1, 1)."""
+    return ((np.uint64([[key[0] & _MASK32], [key[1] & _MASK32]]) + _KEY_STEPS) & _MASK32)[..., None]
 
-    ``state`` holds rows (c0, c2, c1, c3) and is overwritten; ``product``
-    is (2, n) scratch. Row 0 of the (2, n) ``out`` receives each block's
-    (c0 << 32) | c1, row 1 its (c2 << 32) | c3.
+
+def _rounds(
+    state: np.ndarray, product: np.ndarray, keys: np.ndarray, out: np.ndarray, first: int = 0
+) -> None:
+    """Run Philox rounds ``first`` to 9 on a (4, rows, n) ``state`` and write the output words to ``out``.
+
+    ``state`` holds rows (c0, c2, c1, c3) and is overwritten; ``product`` is (2, rows, n)
+    scratch, ``keys`` from :func:`_round_keys`. Row 0 of the (2, rows, n) ``out`` receives
+    each block's (c0 << 32) | c1, row 1 its (c2 << 32) | c3.
     """
-    keys = (np.uint64([[key[0] & _MASK32], [key[1] & _MASK32]]) + _KEY_STEPS) & _MASK32
     top, bottom = state[:2], state[2:]
     # rows (c2 * M1, c0 * M0), whose halves become (c0, c1) and (c2, c3)
     swapped = product[::-1]
-    for round_key in keys[:-1]:
+    for round_key in keys[first:-1]:
         np.multiply(top, _MULTIPLIERS, out=product)
         np.right_shift(swapped, 32, out=top)
         top ^= bottom
@@ -106,10 +120,10 @@ def philox4x32(
     """Encrypt one block of 32-bit words (ValueError outside [0, 2^32)), for known answers."""
     counter = [_require_integer(f"counter[{i}]", w, 0, _MASK32) for i, w in enumerate(counter)]
     key = [_require_integer(f"key[{i}]", w, 0, _MASK32) for i, w in enumerate(key)]
-    state = np.array([[counter[row]] for row in (0, 2, 1, 3)], dtype=np.uint64)
-    words = np.empty((2, 1), dtype=np.uint64)
-    _rounds(state, np.empty_like(words), key, words)
-    return tuple(int(word) >> shift & _MASK32 for word in words[:, 0] for shift in (32, 0))
+    state = np.array([counter[row] for row in (0, 2, 1, 3)], dtype=np.uint64).reshape(4, 1, 1)
+    words = np.empty((2, 1, 1), dtype=np.uint64)
+    _rounds(state, np.empty_like(words), _round_keys(key), words)
+    return tuple(int(word) >> shift & _MASK32 for word in words.ravel() for shift in (32, 0))
 
 
 def _to_unit_interval(bits: np.ndarray) -> np.ndarray:
@@ -142,10 +156,10 @@ def _scratch_array(role: str, shape: tuple[int, int], dtype: type) -> np.ndarray
 def path_normals(seed: int, first_path: int, n_paths: int, count: int, stream: int) -> np.ndarray:
     """Standard normal variates for a contiguous range of paths.
 
-    Returns an (n_paths, count) array whose row for path p is a pure
-    function of (seed, p, stream). Each counter block yields two normals,
-    so a path consumes ceil(count / 2) blocks. For an odd count the array
-    is a view of an (n_paths, count + 1) one, with a spare last column.
+    Returns a C-contiguous (n_paths, count) array, a transposed copy of the
+    period-major draw, whose row for path p is a pure function of (seed, p,
+    stream). Each counter block yields two normals, so a path consumes
+    ceil(count / 2) blocks.
 
     Args:
         seed: generator key, 0 <= seed < 2^64.
@@ -168,8 +182,8 @@ def path_normals(seed: int, first_path: int, n_paths: int, count: int, stream: i
         raise ValueError(
             f"paths [{first_path}, {first_path + n_paths}) exceed the 2^64 path indices"
         )
-    words = np.empty((n_paths, count + count % 2), dtype=np.uint64)
-    return _draw_normals(words, seed, first_path, count, stream)
+    words = np.empty((count + count % 2, n_paths), dtype=np.uint64)
+    return _draw_normals(words, seed, first_path, count, stream).T.copy()
 
 
 def _serve(jobs) -> None:
@@ -200,51 +214,55 @@ def _helper_queue(threads: int):
 def _draw_normals(
     words: np.ndarray, seed: int, first_path: int, count: int, stream: int, threads: int = 1
 ) -> np.ndarray:
-    """:func:`path_normals` on checked arguments, into the caller's memory.
+    """:func:`path_normals`, transposed, on checked arguments, into the caller's memory.
 
-    The raw draws fill ``words``, a C-contiguous uint64 (n_paths,
-    2 * ceil(count / 2)) array, a tile per :func:`_rounds` call. The
-    normals overwrite them and are returned as the float64 view
-    ``[:, :count]``, which for an odd count leaves a spare column per row.
+    The raw draws fill ``words``, a C-contiguous uint64 (2 * ceil(count / 2),
+    n_paths) array, a tile per :func:`_rounds` call: rows 2b and 2b + 1 hold
+    the two words of every path's block b. The normals overwrite them and are
+    returned as the float64 view ``[:count]``, leading rows of ``words``.
     At ``threads`` >= 2 every helper job is done before this returns or raises.
     """
     from scipy.special import ndtri  # deferred: a closed-form quote never loads scipy.special
 
-    n_paths, width = words.shape
-    blocks = width // 2
-    lanes = n_paths * blocks
-    # two words per block, written in column order: row p is path p's draws
-    flat = words.reshape(lanes, 2)
-    buffers = _scratch_array("lanes", (6, _TILE), np.uint64)
-    jobs = _helper_queue(threads)
+    blocks, n_paths = len(words) // 2, words.shape[1]
+    width = max(1, min(n_paths, _TILE))  # paths per tile
+    height = max(1, _TILE // width)  # block rows per tile
+    pairs = words.reshape(blocks, 2, n_paths)  # [b, w, p]: word w of path p's block b
+    buffers = _scratch_array("lanes", (6, height * width), np.uint64).reshape(6, height, width)
+    keys = _round_keys((seed, seed >> 32))
+    jobs = _helper_queue(threads) if n_paths * blocks >= _HANDOFF_LANES else None
     done = None if jobs is None else type(jobs)()  # this draw's replies
     pending = 0
     try:
-        for lo in range(0, lanes, _TILE):
-            n = min(_TILE, lanes - lo)
-            state, product = buffers[:4, :n], buffers[4:, :n]
-            lane, path = product
-            # lane lo + i holds block (lo + i) % blocks of path (lo + i) // blocks
-            np.add(_LANE_INDEX[:n], np.uint64(lo), out=lane)
-            # numpy divides by a scalar fast, but its divmod does not
-            np.floor_divide(lane, np.uint64(blocks), out=path)
-            np.multiply(path, np.uint64(blocks), out=state[0])
-            np.subtract(lane, state[0], out=state[0])
-            path += np.uint64(first_path)
-            np.right_shift(path, 32, out=state[1])
-            np.bitwise_and(path, _MASK32, out=state[2])
-            state[3].fill(stream)
-            tile = flat[lo : lo + n]
-            _rounds(state, product, (seed, seed >> 32), tile.T)
-            u = _to_unit_interval(tile).reshape(-1)
-            if jobs is not None:
-                handed = n if lo + n == lanes else 2 * n  # the last tile: its first half
-                jobs.put((ndtri, u[:handed], done))
-                pending += 1
-                u = u[handed:]
-            ndtri(u, out=u)
+        for p0 in range(0, n_paths, width):
+            n = min(width, n_paths - p0)
+            # rounds 0 and 1 of the path's counter words c1, c2 (its index halves)
+            path = (_OFFSETS[:n] + np.uint64(first_path + p0))[None]
+            q = (path >> 32) * _MULTIPLIERS[1]
+            c1, q = q & _MASK32, ((q >> 32) ^ (path & _MASK32) ^ keys[0, 0]) * _MULTIPLIERS[0]
+            c2_path, c3_path = (q >> 32) ^ keys[1, 1], q & _MASK32
+            for b0 in range(0, blocks, height):
+                k = min(height, blocks - b0)
+                # rounds 0 and 1 of the block index c0 (c3 is the stream); round 1
+                # writes the four state rows, each a block vector xor a path vector
+                q0 = (_OFFSETS[:k, None] + b0) * _MULTIPLIERS[0]
+                q = ((q0 >> 32) ^ stream ^ keys[0, 1]) * _MULTIPLIERS[1]
+                state, product = buffers[:4, :k, :n], buffers[4:, :k, :n]
+                np.bitwise_xor((q >> 32) ^ keys[1, 0], c1, out=state[0])
+                np.bitwise_xor(c2_path, q0 & _MASK32, out=state[1])
+                np.bitwise_and(q, _MASK32, out=state[2])
+                state[3] = c3_path
+                _rounds(state, product, keys, pairs[b0 : b0 + k, :, p0 : p0 + n].swapaxes(0, 1), 2)
+                u = _to_unit_interval(words[2 * b0 : 2 * (b0 + k), p0 : p0 + n])
+                if jobs is not None:
+                    last = p0 + n == n_paths and b0 + k == blocks
+                    handed = k if last else 2 * k  # the last tile: its first half of rows
+                    jobs.put((ndtri, u[:handed], done))
+                    pending += 1
+                    u = u[handed:]
+                ndtri(u, out=u)
     finally:
         errors = [error for error in (done.get() for _ in range(pending)) if error]
     if errors:
         raise errors[0]
-    return words.view(np.float64)[:, :count]
+    return words.view(np.float64)[:count]

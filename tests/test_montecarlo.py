@@ -13,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monthlysum import (
     ContractSpec,
@@ -27,7 +29,7 @@ from monthlysum import (
 )
 from monthlysum import montecarlo, rng
 from monthlysum.cli import main
-from monthlysum.montecarlo import _PAIR, BLOCK, _run
+from monthlysum.montecarlo import _PAIR, BLOCK, _pairwise_rows, _run
 from monthlysum.rng import STREAM_SHARED, path_normals
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
@@ -289,7 +291,8 @@ class TestScratch:
         (_, _, first), (_, _, second) = next(blocks), next(blocks)
         assert np.shares_memory(first, second)
         fresh = path_normals(5, BLOCK, BLOCK, periods, STREAM_SHARED)
-        assert np.array_equal(second.view(np.uint64), fresh.view(np.uint64))
+        # a block is period-major: row j holds every path's j-th normal
+        assert np.array_equal(second.T.view(np.uint64), fresh.view(np.uint64))
 
     def test_threads_price_as_if_alone(self):
         # at threads=2 both callers hand tiles to the one helper thread
@@ -307,10 +310,58 @@ class TestScratch:
         _, _, first = next(blocks)
         blocks.close()
         # the block was whole when yielded, and nothing is left for the helper
-        assert np.array_equal(first.view(np.uint64), fresh.view(np.uint64))
+        assert np.array_equal(first.T.view(np.uint64), fresh.view(np.uint64))
         assert all(jobs.empty() for jobs in rng._helper)
         cfg = McConfig(paths=BLOCK + 10, seed=5)
         assert simulate_ms(CAP_ONLY, MARKET, cfg, threads=2) == simulate_ms(CAP_ONLY, MARKET, cfg)
+
+
+def _mixed_values(seed: int, paths: int, periods: int) -> np.ndarray:
+    """A C-contiguous (paths, periods) array of both signs over 60 decades, with
+    +0.0 and -0.0, subnormals, values near 1e300, and (from 3 paths) a path of
+    -0.0 only and a path of cancelling pairs."""
+    g = np.random.default_rng(seed)
+    x = g.standard_normal((paths, periods)) * 10.0 ** g.uniform(-30, 30, (paths, periods))
+    pick = g.random(x.shape)
+    x[pick < 0.05] = 0.0
+    x[(0.05 <= pick) & (pick < 0.1)] = -0.0
+    subnormal = (0.1 <= pick) & (pick < 0.15)
+    x[subnormal] = g.integers(-(2**52), 2**52, subnormal.sum()) * 5e-324
+    x[(0.15 <= pick) & (pick < 0.17)] *= 1e270
+    if paths >= 3:
+        x[0] = -0.0
+        x[1, 1::2] = -x[1, 0 : periods - 1 : 2]
+    return x
+
+
+class TestPairwiseRows:
+    """``_pairwise_rows`` on the period-major layout equals numpy's row sum, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(periods=st.integers(1, 300), paths=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1))
+    @example(periods=1, paths=5, seed=1)
+    @example(periods=7, paths=4096, seed=2)
+    @example(periods=8, paths=5, seed=3)
+    @example(periods=9, paths=4096, seed=4)
+    @example(periods=127, paths=300, seed=5)
+    @example(periods=128, paths=300, seed=6)
+    @example(periods=129, paths=300, seed=7)
+    @example(periods=136, paths=300, seed=8)
+    @example(periods=252, paths=1000, seed=9)
+    @example(periods=256, paths=1000, seed=10)
+    @example(periods=257, paths=1000, seed=11)
+    def test_equals_numpys_row_sum(self, periods, paths, seed):
+        x = _mixed_values(seed, paths, periods)
+        want = x.sum(axis=1)
+        got = _pairwise_rows(np.ascontiguousarray(x.T))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_signed_zeros(self):
+        # numpy's reduction starts from +0.0, so only a sum of -0.0 alone is +0.0
+        x = np.array([[-0.0] * 12, [-0.0] * 11 + [0.0], [1.0, -1.0] * 6, [-0.0] * 3 + [-1e-320] * 9])
+        got = _pairwise_rows(np.ascontiguousarray(x.T))
+        assert np.array_equal(got.view(np.uint64), x.sum(axis=1).view(np.uint64))
+        assert not np.signbit(got[:3]).any() and np.signbit(got[3])
 
 
 class TestAgainstIndependentTruth:

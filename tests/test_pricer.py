@@ -35,10 +35,11 @@ from monthlysum import (
 )
 from monthlysum import _reference
 from monthlysum.pricer import PriceBreakdown
-from monthlysum.moments import PRINTED, standard_normal_pdf
+from monthlysum.moments import PRINTED, closed_form_moments, standard_normal_pdf
 from monthlysum.validation import CORRECTION_REL_TOL, REL_DENOM_FLOOR
 
 from checkout import NO_AVX512, checkout_env
+from convolution_oracle import STEP, exact_prices
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
 CAP_ONLY = ContractSpec(cap=0.025)
@@ -599,3 +600,33 @@ class TestScalarWork:
         monkeypatch.setattr(_reference, "_quad_split", counting_quad_split)
         price_ms(contract, MARKET, correction="quadrature")
         assert counts == {"asarray": 0, "ndim": 0, "integrand": 168}
+
+
+class TestRateInN:
+    """The paper's small parameter is 1/sqrt(N): at fixed moneyness order 1 is off by O(1/N).
+
+    Zero capped drift keeps the aggregate moneyness at 0 for every N: sigma
+    0.1, dividend 0, rate 0.03, dt = 1/12 and T = N/12, with the cap at which
+    the closed-form I1 vanishes. The exact proxy price is the lattice's
+    Richardson pair, whose step error (about 1e-9) is far below order 1's.
+    """
+
+    CAP = 0.033652
+
+    @staticmethod
+    def _market(periods):
+        return MarketParams(rate=0.03, dividend_yield=0.0, sigma=0.1, term=periods / 12, periods=periods)
+
+    def test_order_one_error_halves_with_each_doubling_of_n(self):
+        contract = ContractSpec(cap=self.CAP)
+        errors = []
+        for periods in (3, 6, 12, 24, 48):
+            market = self._market(periods)
+            # the per-period mean of the capped log return is zero to 6e-8
+            assert abs(closed_form_moments(market, contract).i1) < 1e-7
+            coarse, fine = exact_prices(market, self.CAP)[1], exact_prices(market, self.CAP, STEP / 2)[1]
+            exact = (4.0 * fine - coarse) / 3.0
+            errors.append((price_ms(contract, market, order=1).total - exact) / exact)
+        # measured 2.10, 2.07, 2.08 and 2.11
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(1.9 <= ratio <= 2.4 for ratio in ratios), (errors, ratios)

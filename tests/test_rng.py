@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import queue
 import subprocess
 import sys
 import threading
@@ -226,16 +227,28 @@ class TestFrozenReference:
         assert got.shape == want.shape == request[2:4]
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("count", (12, 13, 1))
+    def test_path_normals_is_a_c_contiguous_path_major_copy(self, count):
+        # the engine draws period-major; path_normals hands out a path per row,
+        # so a caller's own row sums take numpy's contiguous (pairwise) order
+        got = path_normals(11, 5, 4099, count, STREAM_SHARED)
+        want = philox_reference.path_normals(11, 5, 4099, count, STREAM_SHARED)
+        assert got.flags.c_contiguous and got.flags.owndata and got.shape == (4099, count)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(got.sum(axis=1).view(np.uint64), want.sum(axis=1).view(np.uint64))
+
 
 #: Checks path_normals against the frozen reference on the requests read from
 #: stdin, then prints those results, one multi-block McResult at 1 and at 2
-#: threads, and seed 7's k-statistics (KSTAT_MARKET).
+#: threads, seed 7's k-statistics (KSTAT_MARKET), and whether the engine's
+#: row sums equal numpy's at five period counts.
 FROZEN_STDIN = (
     "import json, sys\n"
     "import numpy as np\n"
     "import philox_reference\n"
     "from monthlysum import ContractSpec, MarketParams, McConfig, simulate_ms\n"
     "from monthlysum import empirical_cumulants\n"
+    "from monthlysum.montecarlo import _pairwise_rows\n"
     "from monthlysum.rng import path_normals\n"
     "KSTAT_MARKET = MarketParams(0.03, 0.02, 0.05, 1.0, 12)\n"
     "bits = lambda z: z.view(np.uint64)\n"
@@ -251,7 +264,14 @@ FROZEN_STDIN = (
     "cfg = McConfig(paths=16_384, seed=7)\n"
     "k = empirical_cumulants(ContractSpec(cap=0.025), KSTAT_MARKET, cfg)\n"
     "kstats = [k.iota1.hex(), k.iota2.hex(), k.iota3.hex()]\n"
-    "print(json.dumps([same, [[r.mean.hex(), r.stderr.hex()] for r in res], kstats]))\n"
+    "g = np.random.default_rng(5)\n"
+    "x = g.standard_normal((3000, 257)) * 10.0 ** g.uniform(-30, 30, (3000, 257))\n"
+    "x[g.random(x.shape) < 0.05] = -0.0\n"
+    "sums = [\n"
+    "    np.array_equal(bits(_pairwise_rows(x[:, :n].T.copy())), bits(x[:, :n].sum(axis=1)))\n"
+    "    for n in (7, 12, 60, 129, 257)\n"
+    "]\n"
+    "print(json.dumps([same, [[r.mean.hex(), r.stderr.hex()] for r in res], kstats, sums]))\n"
 )
 
 #: Seed 7's k-statistics at this sigma moved in their last bits with numpy's
@@ -279,8 +299,10 @@ class TestCpuFeatures:
             cwd=Path(__file__).resolve().parent,
             env=dict(checkout_env(), NPY_DISABLE_CPU_FEATURES=NO_AVX512),
         )
-        same, results, kstats = json.loads(proc.stdout)
+        same, results, kstats, sums = json.loads(proc.stdout)
         assert same == [True] * len(requests)
+        # numpy's pairwise row sum, replayed on whole rows, on the same kernel set
+        assert sums == [True] * 5
         # tests/test_montecarlo.py::TestExactPins' 12-period simulate_ms pin, at 1 and 2 threads
         for mean, stderr in results:
             assert (float.fromhex(mean), float.fromhex(stderr)) == (
@@ -350,7 +372,7 @@ class TestHelper:
                 raise FloatingPointError("helper job")
             return ndtri(u, out=out)
 
-        words = np.empty((4096, 12), dtype=np.uint64)
+        words = np.empty((12, 4096), dtype=np.uint64)
         monkeypatch.setattr(scipy.special, "ndtri", failing)
         with pytest.raises(FloatingPointError, match="helper job"):
             rng._draw_normals(words, 1, 0, 12, STREAM_SHARED, 2)
@@ -358,7 +380,40 @@ class TestHelper:
         # the helper survives the failure and serves the next draw
         z = rng._draw_normals(words, 1, 0, 12, STREAM_SHARED, 2)
         fresh = path_normals(1, 0, 4096, 12, STREAM_SHARED)
-        assert np.array_equal(z.view(np.uint64), fresh.view(np.uint64))
+        assert np.array_equal(z.T.view(np.uint64), fresh.view(np.uint64))
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
+    def test_small_draws_hand_no_job_to_the_helper(self, monkeypatch):
+        jobs = []
+        helper_queue = rng._helper_queue
+
+        class Recording:
+            """A queue that records the jobs put on it (the helper's replies are not tuples)."""
+
+            def __init__(self, inner=None):
+                self.inner = queue.SimpleQueue() if inner is None else inner
+
+            def put(self, item):
+                if isinstance(item, tuple):
+                    jobs.append(item)
+                self.inner.put(item)
+
+            def get(self):
+                return self.inner.get()
+
+        def recording(threads):
+            inner = helper_queue(threads)
+            return None if inner is None else Recording(inner)
+
+        monkeypatch.setattr(rng, "_helper_queue", recording)
+        # 50 x 12 is 300 counter blocks; 4096 x 12 is past the floor and hands over
+        for paths, handed in ((50, False), (4096, True)):
+            jobs.clear()
+            words = np.empty((12, paths), dtype=np.uint64)
+            z = rng._draw_normals(words, 9, 0, 12, STREAM_SHARED, 2)
+            assert bool(jobs) == handed, paths
+            fresh = path_normals(9, 0, paths, 12, STREAM_SHARED)
+            assert np.array_equal(z.T.view(np.uint64), fresh.view(np.uint64))
 
     @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
     def test_callers_racing_to_start_the_helper_share_one(self):
@@ -371,9 +426,9 @@ class TestHelper:
             "sys.setswitchinterval(1e-6)\n"
             "start, same = threading.Barrier(6), []\n"
             "def draw(seed):\n"
-            "    words = np.empty((3000, 60), dtype=np.uint64)\n"
+            "    words = np.empty((60, 3000), dtype=np.uint64)\n"
             "    start.wait(timeout=30)\n"
-            "    z = _draw_normals(words, seed, 0, 60, 0, 2).view(np.uint64)\n"
+            "    z = _draw_normals(words, seed, 0, 60, 0, 2).T.view(np.uint64)\n"
             "    same.append(np.array_equal(z, path_normals(seed, 0, 3000, 60, 0).view(np.uint64)))\n"
             "callers = [threading.Thread(target=draw, args=(seed,)) for seed in range(6)]\n"
             "for caller in callers: caller.start()\n"
