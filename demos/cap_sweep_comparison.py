@@ -24,7 +24,7 @@ cfg = McConfig(paths=1_000_000, seed=42)
 print(f"{'cap':>6} {'simple-return MC':>17} {'log-return MC':>14} {'rel gap':>9}")
 for cap in (0.005, 0.01, 0.02, 0.025, 0.03, 0.05, 0.075, 0.10):
     contract = ContractSpec(cap=cap)
-    ms = simulate_ms(contract, market, cfg)
-    msln = simulate_msln(contract, market, cfg)
+    ms = simulate_ms(contract, market, cfg, threads=2)
+    msln = simulate_msln(contract, market, cfg, threads=2)
     gap = abs(ms.mean - msln.mean) / ms.mean
     print(f"{cap:6.3f} {ms.mean:17.6f} {msln.mean:14.6f} {gap:8.2%}")

@@ -45,8 +45,8 @@ for contract in (ContractSpec(cap=0.025), ContractSpec(cap=0.025, floor=-0.05)):
         f"eps1={params.epsilon1:+.5f}  y_eff={params.y_eff:+.4f}"
     )
 
-    mc_log = simulate_msln(contract, market, cfg)
-    mc_simple = simulate_ms(contract, market, cfg)
+    mc_log = simulate_msln(contract, market, cfg, threads=2)
+    mc_simple = simulate_ms(contract, market, cfg, threads=2)
     gap = abs(full.total - mc_log.mean)
     print(f"MC, log-return convention     {mc_log.mean:12.6f}   +- {mc_log.stderr:.6f}")
     print(f"MC, simple-return contract    {mc_simple.mean:12.6f}   +- {mc_simple.stderr:.6f}")

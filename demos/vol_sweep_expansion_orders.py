@@ -19,7 +19,7 @@ for pct in range(5, 41, 5):
     sigma = pct / 100.0
     market = MarketParams(rate=0.03, dividend_yield=0.02, sigma=sigma, term=1.0, periods=12)
     breakdown = price_ms(contract, market)
-    mc = simulate_msln(contract, market, cfg)
+    mc = simulate_msln(contract, market, cfg, threads=2)
     err0 = abs(breakdown.ms0 - mc.mean) / mc.mean
     err1 = abs(breakdown.total - mc.mean) / mc.mean
     print(

@@ -26,7 +26,8 @@ a ``sweep`` of more than 10^6 rows is refused up front), 3 numerical
 failure.
 
 ``--threads`` (at least 1) of 2 or more lets a helper thread run each Monte
-Carlo draw's ``ndtri`` while the Philox rounds go on; output never depends on it.
+Carlo draw's ``ndtri`` while the Philox rounds, and past one 4096-path block
+the pricing, go on; output never depends on it.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ happen after assembly. A block is period-major, (periods, paths), in the
 thread's scratch (a spare last row for an odd period count); a payoff reads
 its leading rows and sums each path in numpy's pairwise order on whole rows.
 ``threads`` (an integer of at least 1) only says whether a block's ``ndtri``
-may overlap its Philox rounds on a helper thread (:mod:`monthlysum.rng`), at
-2 or more; the results are the same at every count.
+may overlap its Philox rounds and the pricing of the block before it on a
+helper thread (:mod:`monthlysum.rng`), at 2 or more; the results are the
+same at every count.
 
 Both payoffs read the same draws (common random numbers), so their
 difference is a low-variance estimate of the capping-convention gap. The
@@ -33,6 +34,7 @@ the rest take further passes, with the same results.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .contracts import ContractSpec, MarketParams, _require_integer
 from .edgeworth import CumulantSet
-from .rng import STREAM_SHARED, _draw_normals, _scratch_array
+from .rng import STREAM_SHARED, _draw_normals, _helper_queue, _scratch_array
 
 __all__ = [
     "BLOCK",
@@ -157,11 +159,27 @@ def _blocks(
 
     The blocks cover rows [0, ``rows``) of the shared stream in order, :data:`BLOCK`
     at a time; ``z`` lives in the thread's scratch until the next block is drawn.
+    At ``threads`` >= 2 on 2 or more CPUs each block after the first is drawn, into alternate
+    scratch, before the block before it is priced; only the last one has the caller run half
+    its last tile. No helper job outlives the generator.
     """
-    for start in range(0, rows, BLOCK):
-        stop = min(start + BLOCK, rows)
-        words = _scratch_array("words", (count + count % 2, stop - start), np.uint64)
-        yield start, stop, _draw_normals(words, seed, start, count, STREAM_SHARED, threads)
+    ahead = rows > BLOCK and _helper_queue(threads) is not None
+    drawn = []  # (start, stop, z, wait) per block drawn and not yet yielded
+    try:
+        for i, start in enumerate(range(0, rows, BLOCK)):
+            stop = min(start + BLOCK, rows)
+            role = ("words", "words_ahead")[ahead and i % 2]
+            words = _scratch_array(role, (count + count % 2, stop - start), np.uint64)
+            draw = (words, seed, start, count, STREAM_SHARED, threads)
+            drawn.append((start, stop, *_draw_normals(*draw, split=stop == rows, defer=True)))
+            while len(drawn) > (ahead and stop < rows):
+                first, last, z, wait = drawn.pop(0)
+                wait()
+                yield first, last, z
+    finally:
+        for *_, wait in drawn:
+            with suppress(Exception):  # an abandoned draw's error has no reader
+                wait()
 
 
 def _run(
@@ -219,7 +237,7 @@ def simulate_ms(
 ) -> McResult:
     """Price the contract: discounted max(sum of capped simple returns, 0).
 
-    ``threads`` >= 2 overlaps the draws' two halves on two threads; no bit changes.
+    ``threads`` >= 2 runs ``ndtri`` on a helper, beside the rounds and pricing; no bit changes.
     """
     return _run(((contract, market),), cfg, (False,), threads)[0][0]
 
@@ -229,7 +247,7 @@ def simulate_msln(
 ) -> McResult:
     """Price the lognormal proxy: discounted max(exp(capped log sum) - 1, 0).
 
-    ``threads`` >= 2 overlaps the draws' two halves on two threads; no bit changes.
+    ``threads`` >= 2 runs ``ndtri`` on a helper, beside the rounds and pricing; no bit changes.
     """
     return _run(((contract, market),), cfg, (True,), threads)[0][0]
 

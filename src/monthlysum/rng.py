@@ -35,8 +35,8 @@ draw so that ``import monthlysum`` and a closed-form price never load
 ``scipy.special``. At ``threads`` >= 2 on at least 2 allowed CPUs, one helper
 thread (started at the first such draw) runs it, releasing the GIL, while the
 caller runs the next tile's rounds and half of the last tile's rows, for
-draws of at least :data:`_HANDOFF_LANES` blocks; ``ndtri`` is elementwise,
-so no bit depends on the thread count.
+draws of at least :data:`_HANDOFF_LANES` blocks (a draw made ahead returns before
+its jobs are done); ``ndtri`` is elementwise, so no bit depends on the thread count.
 """
 
 from __future__ import annotations
@@ -212,15 +212,19 @@ def _helper_queue(threads: int):
 
 
 def _draw_normals(
-    words: np.ndarray, seed: int, first_path: int, count: int, stream: int, threads: int = 1
-) -> np.ndarray:
+    words: np.ndarray, seed: int, first_path: int, count: int, stream: int, threads: int = 1,
+    split: bool = True, defer: bool = False,
+):
     """:func:`path_normals`, transposed, on checked arguments, into the caller's memory.
 
     The raw draws fill ``words``, a C-contiguous uint64 (2 * ceil(count / 2),
     n_paths) array, a tile per :func:`_rounds` call: rows 2b and 2b + 1 hold
     the two words of every path's block b. The normals overwrite them and are
     returned as the float64 view ``[:count]``, leading rows of ``words``.
-    At ``threads`` >= 2 every helper job is done before this returns or raises.
+    At ``threads`` >= 2 the caller runs the second half of the last tile's rows if ``split``,
+    and every helper job is done before this returns or raises, unless ``defer``: then this
+    returns ``(z, wait)``, where ``wait()`` returns once the jobs are done or raises the first
+    one's error.
     """
     from scipy.special import ndtri  # deferred: a closed-form quote never loads scipy.special
 
@@ -255,14 +259,25 @@ def _draw_normals(
                 _rounds(state, product, keys, pairs[b0 : b0 + k, :, p0 : p0 + n].swapaxes(0, 1), 2)
                 u = _to_unit_interval(words[2 * b0 : 2 * (b0 + k), p0 : p0 + n])
                 if jobs is not None:
-                    last = p0 + n == n_paths and b0 + k == blocks
+                    last = split and p0 + n == n_paths and b0 + k == blocks
                     handed = k if last else 2 * k  # the last tile: its first half of rows
                     jobs.put((ndtri, u[:handed], done))
                     pending += 1
                     u = u[handed:]
                 ndtri(u, out=u)
-    finally:
-        errors = [error for error in (done.get() for _ in range(pending)) if error]
+    except BaseException:  # the draw's own error wins; its jobs still finish first
+        for _ in range(pending):
+            done.get()
+        raise
+    z = words.view(np.float64)[:count]
+    if defer:
+        return z, lambda: _wait(done, pending)
+    _wait(done, pending)
+    return z
+
+
+def _wait(done, pending: int) -> None:
+    """Take a draw's ``pending`` helper replies from ``done``, then raise the first job's error."""
+    errors = [error for error in (done.get() for _ in range(pending)) if error]
     if errors:
         raise errors[0]
-    return words.view(np.float64)[:count]

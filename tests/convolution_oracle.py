@@ -8,8 +8,11 @@ Each month's capped return is put on a lattice of spacing ``step`` whose top
 point is the cap itself. A lattice point carries the normal probability of
 its cell, [v - step/2, v + step/2), read off ``ndtr``; the top point also
 carries the point mass of every draw at or above the cap, and the bottom
-point the lower tail beyond ``TAIL_SD`` standard deviations. The law of the
-sum over all periods is the periods-fold convolution of that mass vector,
+point the lower tail beyond ``TAIL_SD`` standard deviations. A floor above
+that tail is the bottom point instead: the lattice then has the fewest
+cells of at most ``step`` that make both bounds lattice points, and the
+bottom point carries the mass at or below the floor by the same rule. The
+law of the sum over all periods is the periods-fold convolution of that mass vector,
 done by FFT. Discretisation error is O(step^2): at the default spacing,
 halving the step moves a price by less than 1e-9.
 """
@@ -32,14 +35,20 @@ STEP = 2e-5
 TAIL_SD = 10.0
 
 
-def _sum_law(to_x, lo: float, top: float, m: float, s: float, periods: int, step: float):
+def _sum_law(
+    to_x, lo: float, top: float, m: float, s: float, periods: int, step: float, floored: bool
+):
     """Lattice and masses of the sum of ``periods`` capped monthly returns.
 
     ``to_x`` maps a return in the convention's own units to the log return,
-    ``lo`` and ``top`` bound the monthly lattice in those units.
+    ``lo`` and ``top`` bound the monthly lattice in those units; ``lo`` is a
+    lattice point when ``floored``, else the lattice hangs from ``top``.
     """
     n = math.ceil((top - lo) / step)
-    bottom = top - n * step
+    if floored:
+        step, bottom = (top - lo) / n, lo
+    else:
+        bottom = top - n * step
     edges = bottom + step * (np.arange(n) + 0.5)
     cdf = ndtr((to_x(edges) - m) / s)
     masses = np.diff(cdf, prepend=0.0, append=1.0)
@@ -49,26 +58,31 @@ def _sum_law(to_x, lo: float, top: float, m: float, s: float, periods: int, step
     return periods * bottom + step * np.arange(size), law
 
 
-def exact_prices(market: MarketParams, cap: float, step: float = STEP) -> tuple[float, float]:
+def exact_prices(
+    market: MarketParams, cap: float, floor: float | None = None, step: float = STEP
+) -> tuple[float, float]:
     """Discounted values of the contract and of its log-return proxy.
 
     Returns ``(ms, msln)``: the contract, max(sum of simple monthly returns
-    capped at ``cap``, 0), and the proxy, max(exp(sum of log monthly returns
-    capped at log(1 + cap)) - 1, 0). Cap only; no floor.
+    capped at ``cap`` and floored at ``floor``, 0), and the proxy,
+    max(exp(sum of log monthly returns capped at log(1 + cap) and floored at
+    log(1 + floor)) - 1, 0). A floor at or below the lattice's lower tail,
+    like none, prices on the cap-only lattice.
     """
     dt = market.term / market.periods
     s = market.sigma * math.sqrt(dt)
     m = (market.rate - market.dividend_yield - 0.5 * market.sigma**2) * dt
     x_lo, x_hi = m - TAIL_SD * s, m + TAIL_SD * s
+    floored = floor is not None and math.log1p(floor) > x_lo
     discount = math.exp(-market.rate * market.term)
 
-    sums, law = _sum_law(
-        np.log1p, math.expm1(x_lo), min(cap, math.expm1(x_hi)), m, s, market.periods, step
-    )
+    lo = floor if floored else math.expm1(x_lo)
+    top = min(cap, math.expm1(x_hi))
+    sums, law = _sum_law(np.log1p, lo, top, m, s, market.periods, step, floored)
     ms = float(law @ np.maximum(sums, 0.0))
 
-    sums, law = _sum_law(
-        lambda y: y, x_lo, min(math.log1p(cap), x_hi), m, s, market.periods, step
-    )
+    lo = math.log1p(floor) if floored else x_lo
+    top = min(math.log1p(cap), x_hi)
+    sums, law = _sum_law(lambda y: y, lo, top, m, s, market.periods, step, floored)
     msln = float(law @ np.maximum(np.expm1(sums), 0.0))
     return discount * ms, discount * msln

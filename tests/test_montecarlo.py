@@ -8,6 +8,8 @@ within 2 standard errors of that independent estimate.
 from __future__ import annotations
 
 import math
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -41,9 +43,9 @@ def _count_path_normals(monkeypatch) -> list[int]:
     streams: list[int] = []
     draw = montecarlo._draw_normals
 
-    def counted(words, seed, first_path, count, stream, threads=1):
+    def counted(words, seed, first_path, count, stream, *args, **kwargs):
         streams.append(stream)
-        return draw(words, seed, first_path, count, stream, threads)
+        return draw(words, seed, first_path, count, stream, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "_draw_normals", counted)
     return streams
@@ -309,11 +311,38 @@ class TestScratch:
         blocks = montecarlo._blocks(5, 3 * BLOCK, 60, threads=2)
         _, _, first = next(blocks)
         blocks.close()
-        # the block was whole when yielded, and nothing is left for the helper
-        assert np.array_equal(first.T.view(np.uint64), fresh.view(np.uint64))
+        # nothing is left for the helper, checked at once, and the block was whole when yielded
         assert all(jobs.empty() for jobs in rng._helper)
+        assert np.array_equal(first.T.view(np.uint64), fresh.view(np.uint64))
         cfg = McConfig(paths=BLOCK + 10, seed=5)
         assert simulate_ms(CAP_ONLY, MARKET, cfg, threads=2) == simulate_ms(CAP_ONLY, MARKET, cfg)
+
+    def test_an_error_in_the_consumer_leaves_no_job_behind(self, monkeypatch):
+        # pricing block 1 fails while block 2, drawn ahead, has its tiles on the helper
+        import scipy.special
+
+        market = replace(MARKET, term=5.0, periods=60)
+        capped_sums, calls, ndtri = montecarlo._capped_sums, [], scipy.special.ndtri
+
+        def slow(u, out):  # so that a job left behind would still be queued at the check
+            if threading.current_thread().name == "monthlysum-ndtri":
+                time.sleep(0.005)
+            return ndtri(u, out=out)
+
+        def failing(*args):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise ArithmeticError("pricing block 1")
+            return capped_sums(*args)
+
+        monkeypatch.setattr(montecarlo, "_capped_sums", failing)
+        monkeypatch.setattr(scipy.special, "ndtri", slow)
+        with pytest.raises(ArithmeticError, match="pricing block 1"):
+            simulate_ms(CAP_ONLY, market, McConfig(paths=4 * BLOCK, seed=5), threads=2)
+        monkeypatch.undo()
+        assert all(jobs.empty() for jobs in rng._helper)
+        cfg = McConfig(paths=BLOCK + 10, seed=5)
+        assert simulate_ms(CAP_ONLY, market, cfg, threads=2) == simulate_ms(CAP_ONLY, market, cfg)
 
 
 def _mixed_values(seed: int, paths: int, periods: int) -> np.ndarray:

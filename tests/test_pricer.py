@@ -624,7 +624,7 @@ class TestRateInN:
             market = self._market(periods)
             # the per-period mean of the capped log return is zero to 6e-8
             assert abs(closed_form_moments(market, contract).i1) < 1e-7
-            coarse, fine = exact_prices(market, self.CAP)[1], exact_prices(market, self.CAP, STEP / 2)[1]
+            coarse, fine = exact_prices(market, self.CAP)[1], exact_prices(market, self.CAP, step=STEP / 2)[1]
             exact = (4.0 * fine - coarse) / 3.0
             errors.append((price_ms(contract, market, order=1).total - exact) / exact)
         # measured 2.10, 2.07, 2.08 and 2.11

@@ -15,6 +15,7 @@ import queue
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from scipy.special import ndtri
 
 import philox_reference
 from checkout import NO_AVX512, checkout_env
-from monthlysum import ContractSpec, MarketParams, McConfig, empirical_cumulants, rng
+from monthlysum import ContractSpec, MarketParams, McConfig, empirical_cumulants, montecarlo, rng
+from monthlysum.montecarlo import BLOCK
 from monthlysum.rng import STREAM_SHARED, _to_unit_interval, path_normals, philox4x32
 
 #: Two stream ids besides the engine's; path_normals takes any id in [0, 2^32).
@@ -240,8 +242,10 @@ class TestFrozenReference:
 
 #: Checks path_normals against the frozen reference on the requests read from
 #: stdin, then prints those results, one multi-block McResult at 1 and at 2
-#: threads, seed 7's k-statistics (KSTAT_MARKET), and whether the engine's
-#: row sums equal numpy's at five period counts.
+#: threads, whether 3 blocks and a partial one, plain and antithetic, price the
+#: same at 2 threads (blocks drawn ahead) as at 1, seed 7's k-statistics
+#: (KSTAT_MARKET), and whether the engine's row sums equal numpy's at five
+#: period counts.
 FROZEN_STDIN = (
     "import json, sys\n"
     "import numpy as np\n"
@@ -261,6 +265,12 @@ FROZEN_STDIN = (
     "    simulate_ms(ContractSpec(cap=0.025), market, McConfig(paths=10_000, seed=42), threads)\n"
     "    for threads in (1, 2)\n"
     "]\n"
+    "rows = 3 * 4096 + 37\n"
+    "ahead = [\n"
+    "    simulate_ms(ContractSpec(cap=0.025), market, cfg, 2)\n"
+    "    == simulate_ms(ContractSpec(cap=0.025), market, cfg, 1)\n"
+    "    for cfg in (McConfig(rows, seed=3), McConfig(2 * rows, seed=3, antithetic=True))\n"
+    "]\n"
     "cfg = McConfig(paths=16_384, seed=7)\n"
     "k = empirical_cumulants(ContractSpec(cap=0.025), KSTAT_MARKET, cfg)\n"
     "kstats = [k.iota1.hex(), k.iota2.hex(), k.iota3.hex()]\n"
@@ -271,7 +281,7 @@ FROZEN_STDIN = (
     "    np.array_equal(bits(_pairwise_rows(x[:, :n].T.copy())), bits(x[:, :n].sum(axis=1)))\n"
     "    for n in (7, 12, 60, 129, 257)\n"
     "]\n"
-    "print(json.dumps([same, [[r.mean.hex(), r.stderr.hex()] for r in res], kstats, sums]))\n"
+    "print(json.dumps([same, [[r.mean.hex(), r.stderr.hex()] for r in res], ahead, kstats, sums]))\n"
 )
 
 #: Seed 7's k-statistics at this sigma moved in their last bits with numpy's
@@ -299,8 +309,10 @@ class TestCpuFeatures:
             cwd=Path(__file__).resolve().parent,
             env=dict(checkout_env(), NPY_DISABLE_CPU_FEATURES=NO_AVX512),
         )
-        same, results, kstats, sums = json.loads(proc.stdout)
+        same, results, ahead, kstats, sums = json.loads(proc.stdout)
         assert same == [True] * len(requests)
+        # blocks drawn ahead of the one priced, plain and antithetic
+        assert ahead == [True, True]
         # numpy's pairwise row sum, replayed on whole rows, on the same kernel set
         assert sums == [True] * 5
         # tests/test_montecarlo.py::TestExactPins' 12-period simulate_ms pin, at 1 and 2 threads
@@ -381,6 +393,63 @@ class TestHelper:
         z = rng._draw_normals(words, 1, 0, 12, STREAM_SHARED, 2)
         fresh = path_normals(1, 0, 4096, 12, STREAM_SHARED)
         assert np.array_equal(z.T.view(np.uint64), fresh.view(np.uint64))
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
+    def test_a_failed_job_in_the_block_drawn_ahead_raises_in_the_caller(self, monkeypatch):
+        import scipy.special
+
+        helper_calls = 0
+
+        def failing(u, out):
+            nonlocal helper_calls
+            if threading.current_thread().name == "monthlysum-ndtri":
+                helper_calls += 1
+                if helper_calls == 3:
+                    raise FloatingPointError("block 1")
+            return ndtri(u, out=out)
+
+        monkeypatch.setattr(scipy.special, "ndtri", failing)
+        # a 4096 x 12 block is two tiles, each handed whole when drawn ahead,
+        # so the third job is block 1's, drawn before block 0 is yielded
+        blocks = montecarlo._blocks(5, 3 * BLOCK, 12, threads=2)
+        start, _, z = next(blocks)
+        assert start == 0
+        fresh = path_normals(5, 0, BLOCK, 12, STREAM_SHARED)
+        assert np.array_equal(z.T.view(np.uint64), fresh.view(np.uint64))
+        with pytest.raises(FloatingPointError, match="block 1"):
+            next(blocks)
+        assert all(jobs.empty() for jobs in rng._helper)
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
+    def test_a_draw_that_fails_waits_for_the_jobs_it_handed_over(self, monkeypatch):
+        import scipy.special
+
+        rounds, passes = rng._rounds, []
+
+        def failing(*args):
+            passes.append(None)
+            if len(passes) == 2:
+                raise MemoryError("tile 2")
+            return rounds(*args)
+
+        unfinished = []  # helper jobs begun and not yet done
+
+        def slow(u, out):  # so that a job left behind would still run at the check
+            if threading.current_thread().name == "monthlysum-ndtri":
+                unfinished.append(None)
+                time.sleep(0.02)
+                unfinished.pop()
+            return ndtri(u, out=out)
+
+        monkeypatch.setattr(rng, "_rounds", failing)
+        monkeypatch.setattr(scipy.special, "ndtri", slow)
+        words = np.empty((60, 4096), dtype=np.uint64)
+        for defer in (False, True):
+            passes.clear()
+            with pytest.raises(MemoryError, match="tile 2"):
+                rng._draw_normals(words, 1, 0, 60, STREAM_SHARED, 2, defer=defer)
+            assert passes == [None, None] and not unfinished
+            assert all(jobs.empty() for jobs in rng._helper)
 
     @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
     def test_small_draws_hand_no_job_to_the_helper(self, monkeypatch):
