@@ -158,10 +158,10 @@ def _blocks(
     """``(start, stop, z)`` per block: ``count`` monthly normals for each draw row in [start, stop).
 
     The blocks cover rows [0, ``rows``) of the shared stream in order, :data:`BLOCK`
-    at a time; ``z`` lives in the thread's scratch until the next block is drawn.
-    At ``threads`` >= 2 on 2 or more CPUs each block after the first is drawn, into alternate
-    scratch, before the block before it is priced; only the last one has the caller run half
-    its last tile. No helper job outlives the generator.
+    at a time; ``z`` stays in the thread's scratch until the next block drawn into the same
+    scratch. At ``threads`` >= 2 on 2 or more CPUs each block after the first is drawn, into
+    the other scratch, before the block before it is yielded, so that is the block after next;
+    only the last one has the caller run half its last tile. No helper job outlives the generator.
     """
     ahead = rows > BLOCK and _helper_queue(threads) is not None
     drawn = []  # (start, stop, z, wait) per block drawn and not yet yielded
@@ -171,7 +171,7 @@ def _blocks(
             role = ("words", "words_ahead")[ahead and i % 2]
             words = _scratch_array(role, (count + count % 2, stop - start), np.uint64)
             draw = (words, seed, start, count, STREAM_SHARED, threads)
-            drawn.append((start, stop, *_draw_normals(*draw, split=stop == rows, defer=True)))
+            drawn.append((start, stop, *_draw_normals(*draw, split=stop == rows)))
             while len(drawn) > (ahead and stop < rows):
                 first, last, z, wait = drawn.pop(0)
                 wait()

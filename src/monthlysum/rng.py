@@ -35,8 +35,8 @@ draw so that ``import monthlysum`` and a closed-form price never load
 ``scipy.special``. At ``threads`` >= 2 on at least 2 allowed CPUs, one helper
 thread (started at the first such draw) runs it, releasing the GIL, while the
 caller runs the next tile's rounds and half of the last tile's rows, for
-draws of at least :data:`_HANDOFF_LANES` blocks (a draw made ahead returns before
-its jobs are done); ``ndtri`` is elementwise, so no bit depends on the thread count.
+draws of at least :data:`_HANDOFF_LANES` blocks (a draw returns with its jobs pending
+and its caller waits on them); ``ndtri`` is elementwise, so no bit depends on the thread count.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def path_normals(seed: int, first_path: int, n_paths: int, count: int, stream: i
             f"paths [{first_path}, {first_path + n_paths}) exceed the 2^64 path indices"
         )
     words = np.empty((count + count % 2, n_paths), dtype=np.uint64)
-    return _draw_normals(words, seed, first_path, count, stream).T.copy()
+    return _draw_normals(words, seed, first_path, count, stream)[0].T.copy()  # threads 1: no job
 
 
 def _serve(jobs) -> None:
@@ -213,18 +213,17 @@ def _helper_queue(threads: int):
 
 def _draw_normals(
     words: np.ndarray, seed: int, first_path: int, count: int, stream: int, threads: int = 1,
-    split: bool = True, defer: bool = False,
+    split: bool = True,
 ):
     """:func:`path_normals`, transposed, on checked arguments, into the caller's memory.
 
     The raw draws fill ``words``, a C-contiguous uint64 (2 * ceil(count / 2),
     n_paths) array, a tile per :func:`_rounds` call: rows 2b and 2b + 1 hold
     the two words of every path's block b. The normals overwrite them and are
-    returned as the float64 view ``[:count]``, leading rows of ``words``.
-    At ``threads`` >= 2 the caller runs the second half of the last tile's rows if ``split``,
-    and every helper job is done before this returns or raises, unless ``defer``: then this
-    returns ``(z, wait)``, where ``wait()`` returns once the jobs are done or raises the first
-    one's error.
+    returned as ``z``, the float64 view ``[:count]``, leading rows of ``words``, in
+    ``(z, wait)``: ``z`` is whole once ``wait()`` has returned, after the draw's helper jobs
+    (at ``threads`` >= 2), or raised the first failed one's error. The caller runs the second
+    half of the last tile's rows if ``split``. A draw that raises waits for its jobs first.
     """
     from scipy.special import ndtri  # deferred: a closed-form quote never loads scipy.special
 
@@ -269,11 +268,7 @@ def _draw_normals(
         for _ in range(pending):
             done.get()
         raise
-    z = words.view(np.float64)[:count]
-    if defer:
-        return z, lambda: _wait(done, pending)
-    _wait(done, pending)
-    return z
+    return words.view(np.float64)[:count], lambda: _wait(done, pending)
 
 
 def _wait(done, pending: int) -> None:

@@ -386,11 +386,13 @@ class TestHelper:
 
         words = np.empty((12, 4096), dtype=np.uint64)
         monkeypatch.setattr(scipy.special, "ndtri", failing)
+        _, wait = rng._draw_normals(words, 1, 0, 12, STREAM_SHARED, 2)
         with pytest.raises(FloatingPointError, match="helper job"):
-            rng._draw_normals(words, 1, 0, 12, STREAM_SHARED, 2)
+            wait()
         monkeypatch.undo()
         # the helper survives the failure and serves the next draw
-        z = rng._draw_normals(words, 1, 0, 12, STREAM_SHARED, 2)
+        z, wait = rng._draw_normals(words, 1, 0, 12, STREAM_SHARED, 2)
+        wait()
         fresh = path_normals(1, 0, 4096, 12, STREAM_SHARED)
         assert np.array_equal(z.T.view(np.uint64), fresh.view(np.uint64))
 
@@ -444,12 +446,10 @@ class TestHelper:
         monkeypatch.setattr(rng, "_rounds", failing)
         monkeypatch.setattr(scipy.special, "ndtri", slow)
         words = np.empty((60, 4096), dtype=np.uint64)
-        for defer in (False, True):
-            passes.clear()
-            with pytest.raises(MemoryError, match="tile 2"):
-                rng._draw_normals(words, 1, 0, 60, STREAM_SHARED, 2, defer=defer)
-            assert passes == [None, None] and not unfinished
-            assert all(jobs.empty() for jobs in rng._helper)
+        with pytest.raises(MemoryError, match="tile 2"):
+            rng._draw_normals(words, 1, 0, 60, STREAM_SHARED, 2)
+        assert passes == [None, None] and not unfinished
+        assert all(jobs.empty() for jobs in rng._helper)
 
     @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
     def test_small_draws_hand_no_job_to_the_helper(self, monkeypatch):
@@ -479,7 +479,8 @@ class TestHelper:
         for paths, handed in ((50, False), (4096, True)):
             jobs.clear()
             words = np.empty((12, paths), dtype=np.uint64)
-            z = rng._draw_normals(words, 9, 0, 12, STREAM_SHARED, 2)
+            z, wait = rng._draw_normals(words, 9, 0, 12, STREAM_SHARED, 2)
+            wait()
             assert bool(jobs) == handed, paths
             fresh = path_normals(9, 0, paths, 12, STREAM_SHARED)
             assert np.array_equal(z.T.view(np.uint64), fresh.view(np.uint64))
@@ -497,7 +498,9 @@ class TestHelper:
             "def draw(seed):\n"
             "    words = np.empty((60, 3000), dtype=np.uint64)\n"
             "    start.wait(timeout=30)\n"
-            "    z = _draw_normals(words, seed, 0, 60, 0, 2).T.view(np.uint64)\n"
+            "    z, wait = _draw_normals(words, seed, 0, 60, 0, 2)\n"
+            "    wait()\n"
+            "    z = z.T.view(np.uint64)\n"
             "    same.append(np.array_equal(z, path_normals(seed, 0, 3000, 60, 0).view(np.uint64)))\n"
             "callers = [threading.Thread(target=draw, args=(seed,)) for seed in range(6)]\n"
             "for caller in callers: caller.start()\n"
