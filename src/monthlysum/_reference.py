@@ -3,7 +3,9 @@
 * The adaptive-quadrature oracle: the moments (``moment_quadrature``,
   ``quadrature_moments``) and the first-order correction
   (``ms_correction_quadrature``), each cut at its integrand's sign changes
-  by ``_quad_split``, which imports ``scipy.integrate`` at first use.
+  by ``_quad_split``. Each piece is one QUADPACK ``qagse`` call (Piessens
+  et al., 1983) on scipy's compiled ``_quadpack`` extension, loaded at first
+  use without ``scipy.integrate``, whose 0.5 s of import only ``quad`` needs.
 * The printed transcriptions the corrected forms in :mod:`monthlysum.moments`
   and :mod:`monthlysum.pricer` replace, kept verbatim so the validation
   suite can show which are defective. ``_variant_moments`` is the one place
@@ -12,7 +14,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
 
 from .contracts import ContractSpec, MarketParams, _require_integer
 from .edgeworth import EdgeworthParams
@@ -28,26 +33,68 @@ QUAD_REL_TOL = 1e-12
 QUAD_SUBDIVISION_LIMIT = 200
 
 
+#: QUADPACK's documented reason for each nonzero ``ier`` of ``qagse``
+_QAGSE_REASONS = {
+    1: f"maximum number of subdivisions ({QUAD_SUBDIVISION_LIMIT}) reached",
+    2: "roundoff error prevents the requested tolerance",
+    3: "extremely bad integrand behaviour in the interval",
+    4: "roundoff error in the extrapolation table, which does not converge",
+    5: "the integral is probably divergent or slowly convergent",
+    6: "the input is invalid",
+    7: "abnormal termination of the routine",
+}
+
+_QUADPACK = "scipy.integrate._quadpack"
+
+
+@functools.cache
+def _quadpack():
+    """scipy's compiled QUADPACK module, loaded without running ``scipy.integrate``.
+
+    An entry already in ``sys.modules`` is reused; a module loaded here is
+    registered under its own name, so a later ``import scipy.integrate``
+    shares it.
+    """
+    module = sys.modules.get(_QUADPACK)
+    if module is None:
+        import importlib.util
+        from importlib.machinery import PathFinder
+
+        import scipy  # deferred: only the oracle needs it
+
+        spec = PathFinder.find_spec(_QUADPACK, [os.path.join(scipy.__path__[0], "integrate")])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # a racing first call, or a scipy.integrate import, may have registered it first
+        module = sys.modules.setdefault(_QUADPACK, module)
+    return module
+
+
+def _qagse(fn, a: float, b: float):
+    """(integral, error estimate, info dict, ier) of QUADPACK's ``qagse`` on [a, b].
+
+    Called as ``scipy.integrate.quad(..., full_output=1)`` calls it at the
+    oracle's tolerances; ier 0 means converged.
+    """
+    return _quadpack()._qagse(fn, a, b, (), 1, 1e-16, QUAD_REL_TOL, QUAD_SUBDIVISION_LIMIT)
+
+
 def _quad_split(fn, lo: float, hi: float, interior: tuple[float, ...]) -> float:
     """Adaptive Gauss-Kronrod integration, cut at interior sign changes of the integrand.
 
     Sign-definite pieces keep the adaptive scheme from chasing cancellation
     it cannot resolve at the requested tolerance. Each piece must converge.
     """
-    from scipy import integrate  # deferred: 0.4 s of import only the quadrature oracle needs
-
     cuts = [lo] + [p for p in sorted(interior) if lo < p < hi] + [hi]
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        result = integrate.quad(
-            fn, a, b, epsabs=1e-16, epsrel=QUAD_REL_TOL, limit=QUAD_SUBDIVISION_LIMIT, full_output=1
-        )
-        if len(result) > 3:
-            # quad appends a message (and possibly an explanation) on trouble
+        value, _, _, ier = _qagse(fn, a, b)
+        if ier:
+            reason = _QAGSE_REASONS.get(ier, "unknown error")
             raise QuadratureConvergenceError(
-                f"quadrature on [{a:g}, {b:g}] did not converge: {result[3]}"
+                f"quadrature on [{a:g}, {b:g}] did not converge: {reason} (QUADPACK ier={ier})"
             )
-        total += result[0]
+        total += value
     return total
 
 

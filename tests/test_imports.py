@@ -62,8 +62,9 @@ def test_public_names_are_pinned():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # a cold `mc` needs no quadrature; `price` loads scipy.integrate at its first one.
-    # The package import leaves the CLI (and its parser) unbuilt.
+    # a cold `mc` needs no quadrature, and `price`'s quadrature correction
+    # loads QUADPACK's extension alone, not scipy.integrate. The package
+    # import leaves the CLI (and its parser) unbuilt.
     probe = (
         "import sys, monthlysum\n"
         "cli_loaded = 'monthlysum.cli' in sys.modules\n"
@@ -85,7 +86,42 @@ def test_import_leaves_scipy_stats_unloaded():
         env=checkout_env(),
     )
     states = out.stdout.strip().splitlines()[-1]
-    assert states == "False [[False, False], [False, False], [False, True]]"
+    assert states == "False [[False, False], [False, False], [False, False]]"
+
+
+#: scipy.integrate and the subpackages its import pulls in
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse")
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    (
+        (["price"], []),
+        (["price", "--floor", "-0.05", "--format", "csv"], []),
+        (["sweep", "--axis", "cap", "--from", "0.01", "--to", "0.05", "--step", "0.01"], []),
+        (["validate"], []),
+        (["mc", "--mc-paths", "4096"], ["scipy.special"]),
+    ),
+)
+def test_cold_commands_load_only_the_scipy_they_use(argv, loads):
+    # the quadrature oracle needs QUADPACK's compiled module alone; only the
+    # Monte Carlo draws' ndtri needs a heavy subpackage, scipy.special
+    probe = (
+        "import contextlib, io, sys\n"
+        "from monthlysum import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(code, [m for m in {HEAVY_SCIPY!r} if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env=checkout_env(),
+    )
+    assert out.stdout.strip().splitlines()[-1] == f"0 {loads!r}"
 
 
 def test_default_price_leaves_scipy_integrate_unloaded():

@@ -418,9 +418,27 @@ class TestApiGuards:
             capped_floored_moment_closed(1, MARKET, CAP_ONLY)
 
     def test_unconverged_quadrature_names_its_interval(self):
-        # sin(1/z) oscillates without bound near 0, so the subdivision budget runs out
-        with pytest.raises(QuadratureConvergenceError, match=r"quadrature on \[0\.0001, 1\] did not"):
+        # sin(1/z) oscillates without bound near 0, so the subdivision budget
+        # runs out (QUADPACK's ier 1), and the error keeps QUADPACK's reason
+        reason = r"maximum number of subdivisions \(200\) reached \(QUADPACK ier=1\)"
+        with pytest.raises(
+            QuadratureConvergenceError,
+            match=rf"^quadrature on \[0\.0001, 1\] did not converge: {reason}$",
+        ):
             _quad_split(lambda z: math.sin(1.0 / z), 1e-4, 1.0, ())
+
+    def test_each_quadpack_failure_has_its_own_reason(self, monkeypatch):
+        # ier 1-7 each name their QUADPACK reason; any other code is unknown
+        reasons = []
+        for ier in range(1, 9):
+            monkeypatch.setattr(_reference, "_qagse", lambda fn, a, b, ier=ier: (0.0, 0.0, {}, ier))
+            with pytest.raises(QuadratureConvergenceError) as failure:
+                _quad_split(math.exp, 0.0, 1.0, ())
+            message = str(failure.value)
+            assert message.endswith(f" (QUADPACK ier={ier})")
+            reasons.append(message.split("did not converge: ")[1])
+        assert len(set(reasons)) == 8
+        assert reasons[-1] == "unknown error (QUADPACK ier=8)"
 
     def test_moment_set_rejects_nonpositive_variance(self):
         with pytest.raises(NonpositiveVarianceError, match="variance"):

@@ -455,6 +455,65 @@ CLOSED_WITHOUT_SCIPY_SPECIAL = (
 )
 
 
+#: makes scipy.integrate unimportable, then prices each (contract, market)
+#: pair read from stdin on the quadrature route and takes its quadrature
+#: moments, as dicts, and reports whether the block held
+QUADRATURE_WITHOUT_SCIPY_INTEGRATE = (
+    "import dataclasses, importlib, json, sys\n"
+    "class Refuse:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'scipy.integrate' or name.startswith('scipy.integrate.'):\n"
+    "            raise ModuleNotFoundError(f'{name} is blocked', name=name)\n"
+    "sys.meta_path.insert(0, Refuse())\n"
+    "from monthlysum import ContractSpec, MarketParams, price_ms, quadrature_moments\n"
+    "pairs = [(ContractSpec(**c), MarketParams(**m)) for c, m in json.load(sys.stdin)]\n"
+    "out = [dataclasses.asdict(price_ms(c, m, correction='quadrature')) for c, m in pairs]\n"
+    "moments = [dataclasses.asdict(quadrature_moments(m, c)) for c, m in pairs]\n"
+    "try:\n"
+    "    importlib.import_module('scipy.integrate')\n"
+    "    blocked = False\n"
+    "except ModuleNotFoundError:\n"
+    "    blocked = True\n"
+    "print(json.dumps({'blocked': blocked, 'breakdowns': out, 'moments': moments}))\n"
+)
+
+
+#: runs the oracle on the default contract, recording each QUADPACK piece,
+#: then imports scipy.integrate and integrates the first moment piece and
+#: the last correction piece again, by _quad_split and by quad
+QUAD_AFTER_THE_ORACLE = (
+    "import json, sys\n"
+    "from monthlysum import ContractSpec, MarketParams, edgeworth_params\n"
+    "from monthlysum import _reference\n"
+    "market = MarketParams(0.03, 0.02, 0.2, 1.0, 12)\n"
+    "contract = ContractSpec(cap=0.025)\n"
+    "qagse, pieces = _reference._qagse, []\n"
+    "def recording(fn, a, b):\n"
+    "    result = qagse(fn, a, b)\n"
+    "    pieces.append((fn, a, b, result[0]))\n"
+    "    return result\n"
+    "_reference._qagse = recording\n"
+    "_reference.moment_quadrature(1, market, contract)\n"
+    "moment = pieces[0]\n"
+    "_reference.ms_correction_quadrature(edgeworth_params(contract, market), market)\n"
+    "correction = pieces[-1]\n"
+    "_reference._qagse = qagse\n"
+    "loaded = sys.modules['scipy.integrate._quadpack']\n"
+    "integrated = 'scipy.integrate' in sys.modules\n"
+    "from scipy import integrate\n"
+    "from scipy.integrate import _quadpack_py\n"
+    "shared = [loaded is _reference._quadpack(),\n"
+    "          sys.modules['scipy.integrate._quadpack'] is loaded,\n"
+    "          _quadpack_py._quadpack is loaded]\n"
+    "def bits(fn, a, b, first):\n"
+    "    by_quad = integrate.quad(fn, a, b, epsabs=1e-16, epsrel=_reference.QUAD_REL_TOL,\n"
+    "                             limit=_reference.QUAD_SUBDIVISION_LIMIT)[0]\n"
+    "    return [first.hex(), _reference._quad_split(fn, a, b, ()).hex(), by_quad.hex()]\n"
+    "print(json.dumps({'integrated': integrated, 'shared': shared,\n"
+    "                  'moment': bits(*moment), 'correction': bits(*correction)}))\n"
+)
+
+
 def _hexed(value):
     """``value`` with every float, nested in dicts too, as its float.hex."""
     if isinstance(value, dict):
@@ -522,6 +581,62 @@ class TestExactPins:
         assert [_hexed(b) for b in got["breakdowns"]] == [
             _hexed(dataclasses.asdict(b)) for b in want
         ]
+
+    def test_quadrature_route_needs_no_scipy_integrate(self):
+        # the eight quadrature-route pins, in a process where scipy.integrate
+        # cannot be imported: the oracle calls QUADPACK's compiled qagse itself
+        pairs = [[dataclasses.asdict(c), dataclasses.asdict(m)] for c, m, _ in EXACT_PINS]
+        proc = subprocess.run(
+            [sys.executable, "-c", QUADRATURE_WITHOUT_SCIPY_INTEGRATE],
+            input=json.dumps(pairs),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=checkout_env(),
+        )
+        got = json.loads(proc.stdout)
+        assert got["blocked"]
+        assert [_hexed(b) for b in got["breakdowns"]] == [
+            _hexed(dataclasses.asdict(expected)) for _, _, expected in EXACT_PINS
+        ]
+        assert [_hexed(m) for m in got["moments"]] == [
+            _hexed(dataclasses.asdict(quadrature_moments(m, c))) for c, m, _ in EXACT_PINS
+        ]
+
+    def test_scipy_integrate_shares_the_oracles_quadpack(self):
+        # scipy.integrate imported after the oracle ran reuses the extension
+        # module the oracle loaded, and its quad gives the oracle's bits on a
+        # moment piece and a correction piece
+        proc = subprocess.run(
+            [sys.executable, "-c", QUAD_AFTER_THE_ORACLE],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=checkout_env(),
+        )
+        got = json.loads(proc.stdout)
+        assert not got["integrated"]
+        assert got["shared"] == [True, True, True]
+        for piece in ("moment", "correction"):
+            first, split, by_quad = got[piece]
+            assert first == split == by_quad, piece
+        # and the other order: the oracle reuses the module scipy.integrate loaded
+        reuse = (
+            "from scipy.integrate import _quadpack_py\n"
+            "from monthlysum import _reference\n"
+            "print(_reference._quadpack() is _quadpack_py._quadpack)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", reuse],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=checkout_env(),
+        )
+        assert proc.stdout.strip().splitlines()[-1] == "True"
 
 
 def _correction_integrand(contract, market):

@@ -7,8 +7,8 @@ import json
 from collections import Counter
 
 import pytest
-from scipy import integrate
 
+from monthlysum import _reference
 from monthlysum._reference import ms_correction_quadrature, quadrature_moments
 from monthlysum.moments import CORRECTED, PRINTED
 from monthlysum.pricer import edgeworth_params
@@ -96,22 +96,22 @@ class TestCorrectedVariant:
 class TestOracle:
     # the quadrature references at every point of the grid, not only the
     # worst errors they produce: a sha256 over float.hex() of (I1, I2, I3,
-    # ms1) per point, in grid order; and, host-independent, the quad pieces
-    # and integrand evaluations they cost (7.0 and 368.7 per point, the
-    # oracle work of one corrected sweep)
+    # ms1) per point, in grid order; and, host-independent, the QUADPACK
+    # pieces (qagse calls) and integrand evaluations they cost (7.0 and
+    # 368.7 per point, the oracle work of one corrected sweep)
     def test_every_reference_value_is_bit_exact(self, monkeypatch):
         counts = {"pieces": 0, "evaluations": 0}
-        quad = integrate.quad
+        qagse = _reference._qagse
 
-        def counting_quad(fn, *args, **kwargs):
+        def counting_qagse(fn, a, b):
             def counted(z):
                 counts["evaluations"] += 1
                 return fn(z)
 
             counts["pieces"] += 1
-            return quad(counted, *args, **kwargs)
+            return qagse(counted, a, b)
 
-        monkeypatch.setattr(integrate, "quad", counting_quad)
+        monkeypatch.setattr(_reference, "_qagse", counting_qagse)
         digest = hashlib.sha256()
         for point in default_grid():
             market, contract = point.market(), point.contract()
