@@ -71,12 +71,12 @@ def _quadpack():
 
 
 def _qagse(fn, a: float, b: float):
-    """(integral, error estimate, info dict, ier) of QUADPACK's ``qagse`` on [a, b].
+    """(integral, error estimate, ier) of QUADPACK's ``qagse`` on [a, b].
 
-    Called as ``scipy.integrate.quad(..., full_output=1)`` calls it at the
+    Called as ``scipy.integrate.quad(..., full_output=0)`` calls it at the
     oracle's tolerances; ier 0 means converged.
     """
-    return _quadpack()._qagse(fn, a, b, (), 1, 1e-16, QUAD_REL_TOL, QUAD_SUBDIVISION_LIMIT)
+    return _quadpack()._qagse(fn, a, b, (), 0, 1e-16, QUAD_REL_TOL, QUAD_SUBDIVISION_LIMIT)
 
 
 def _quad_split(fn, lo: float, hi: float, interior: tuple[float, ...]) -> float:
@@ -88,7 +88,7 @@ def _quad_split(fn, lo: float, hi: float, interior: tuple[float, ...]) -> float:
     cuts = [lo] + [p for p in sorted(interior) if lo < p < hi] + [hi]
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        value, _, _, ier = _qagse(fn, a, b)
+        value, _, ier = _qagse(fn, a, b)
         if ier:
             reason = _QAGSE_REASONS.get(ier, "unknown error")
             raise QuadratureConvergenceError(

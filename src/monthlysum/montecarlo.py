@@ -9,16 +9,16 @@ Two payoffs are simulated on the same monthly Gaussian draws:
 
 Draws come from the counter-based generator in :mod:`monthlysum.rng`, all
 on its one stream :data:`~monthlysum.rng.STREAM_SHARED`, so a path's
-normals are a pure function of (seed, draw row). One generator walks the
-rows serially in blocks of :data:`BLOCK`, for prices and cumulants alike;
-an antithetic pair reads one row twice, as z and as -z. All reductions
-happen after assembly. A block is period-major, (periods, paths), in the
-thread's scratch (a spare last row for an odd period count); a payoff reads
-its leading rows and sums each path in numpy's pairwise order on whole rows.
-``threads`` (an integer of at least 1) only says whether a block's ``ndtri``
-may overlap its Philox rounds and the pricing of the block before it on a
-helper thread (:mod:`monthlysum.rng`), at 2 or more; the results are the
-same at every count.
+normals are a pure function of (seed, draw row). One walk, ``rng._blocks``,
+hands out the rows in blocks of :data:`BLOCK`, for prices and cumulants
+alike; an antithetic pair reads one row twice, as z and as -z. All
+reductions happen after assembly. A block is period-major, (periods,
+paths), in the thread's scratch; a payoff reads its leading rows and sums
+each path in numpy's pairwise order on whole rows. ``threads`` (an integer
+of at least 1) only says whether the walk may overlap a block's ``ndtri``
+with its Philox rounds and with the pricing of the block before it, on a
+helper thread, at 2 or more (:mod:`monthlysum.rng` owns that schedule); the
+results are the same at every count.
 
 Both payoffs read the same draws (common random numbers), so their
 difference is a low-variance estimate of the capping-convention gap. The
@@ -34,15 +34,14 @@ the rest take further passes, with the same results.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .contracts import ContractSpec, MarketParams, _require_integer
 from .edgeworth import CumulantSet
-from .rng import STREAM_SHARED, _draw_normals, _helper_queue, _scratch_array
+from .rng import BLOCK, _blocks, _scratch_array
 
 __all__ = [
     "BLOCK",
@@ -52,10 +51,6 @@ __all__ = [
     "simulate_ms",
     "simulate_msln",
 ]
-
-#: Draw rows per work unit. It bounds the memory of one block of normals;
-#: the draws themselves do not depend on it.
-BLOCK = 4096
 
 #: Payoff values one pass over the blocks may hold (2^22 doubles, 32 MiB):
 #: rows x legs x paths. Rows beyond it take further passes, each drawing
@@ -150,36 +145,6 @@ def _pairwise_rows(x: np.ndarray) -> np.ndarray:
         x[0] += row
     x[0] += 0.0  # the reduction's initial value, which only turns -0.0 into 0.0
     return x[0]
-
-
-def _blocks(
-    seed: int, rows: int, count: int, threads: int = 1
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``(start, stop, z)`` per block: ``count`` monthly normals for each draw row in [start, stop).
-
-    The blocks cover rows [0, ``rows``) of the shared stream in order, :data:`BLOCK`
-    at a time; ``z`` stays in the thread's scratch until the next block drawn into the same
-    scratch. At ``threads`` >= 2 on 2 or more CPUs each block after the first is drawn, into
-    the other scratch, before the block before it is yielded, so that is the block after next;
-    only the last one has the caller run half its last tile. No helper job outlives the generator.
-    """
-    ahead = rows > BLOCK and _helper_queue(threads) is not None
-    drawn = []  # (start, stop, z, wait) per block drawn and not yet yielded
-    try:
-        for i, start in enumerate(range(0, rows, BLOCK)):
-            stop = min(start + BLOCK, rows)
-            role = ("words", "words_ahead")[ahead and i % 2]
-            words = _scratch_array(role, (count + count % 2, stop - start), np.uint64)
-            draw = (words, seed, start, count, STREAM_SHARED, threads)
-            drawn.append((start, stop, *_draw_normals(*draw, split=stop == rows)))
-            while len(drawn) > (ahead and stop < rows):
-                first, last, z, wait = drawn.pop(0)
-                wait()
-                yield first, last, z
-    finally:
-        for *_, wait in drawn:
-            with suppress(Exception):  # an abandoned draw's error has no reader
-                wait()
 
 
 def _run(

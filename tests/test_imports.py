@@ -197,6 +197,20 @@ def test_only_rng_starts_a_thread():
     assert users == ["rng.py"]
 
 
+def test_montecarlo_takes_only_the_walk_from_rng():
+    # rng owns the draw schedule (helper, look-ahead, split, scratch roles): montecarlo
+    # reads blocks from its one walk and borrows a scratch array for its returns
+    names = []
+    for node in ast.walk(ast.parse((SRC / "monthlysum" / "montecarlo.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (("rng", 1), ("monthlysum.rng", 0)):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "monthlysum"):
+            names += [alias.name for alias in node.names if alias.name == "rng"]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if alias.name == "monthlysum.rng"]
+    assert sorted(names) == ["BLOCK", "_blocks", "_scratch_array"]
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_threads_start_a_thread_only_where_it_can_pay():
     # threads=1, or threads=2 on one allowed CPU, starts nothing; threads=2 on

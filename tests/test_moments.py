@@ -431,7 +431,7 @@ class TestApiGuards:
         # ier 1-7 each name their QUADPACK reason; any other code is unknown
         reasons = []
         for ier in range(1, 9):
-            monkeypatch.setattr(_reference, "_qagse", lambda fn, a, b, ier=ier: (0.0, 0.0, {}, ier))
+            monkeypatch.setattr(_reference, "_qagse", lambda fn, a, b, ier=ier: (0.0, 0.0, ier))
             with pytest.raises(QuadratureConvergenceError) as failure:
                 _quad_split(math.exp, 0.0, 1.0, ())
             message = str(failure.value)

@@ -41,13 +41,13 @@ CAP_ONLY = ContractSpec(cap=0.025)
 def _count_path_normals(monkeypatch) -> list[int]:
     """Route the engine's draws through a wrapper; returns the stream of each call."""
     streams: list[int] = []
-    draw = montecarlo._draw_normals
+    draw = rng._draw_normals
 
     def counted(words, seed, first_path, count, stream, *args, **kwargs):
         streams.append(stream)
         return draw(words, seed, first_path, count, stream, *args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "_draw_normals", counted)
+    monkeypatch.setattr(rng, "_draw_normals", counted)
     return streams
 
 
@@ -289,12 +289,18 @@ class TestAntithetic:
 class TestScratch:
     @pytest.mark.parametrize("periods", (12, 13))
     def test_blocks_reuse_the_thread_scratch(self, periods):
-        blocks = montecarlo._blocks(5, 2 * BLOCK, periods)
+        blocks = rng._blocks(5, 2 * BLOCK, periods)
         (_, _, first), (_, _, second) = next(blocks), next(blocks)
         assert np.shares_memory(first, second)
+        held = second.copy()
         fresh = path_normals(5, BLOCK, BLOCK, periods, STREAM_SHARED)
         # a block is period-major: row j holds every path's j-th normal
         assert np.array_equal(second.T.view(np.uint64), fresh.view(np.uint64))
+        # path_normals draws into its own memory: other draws leave the held block as it was
+        assert not np.shares_memory(fresh, second)
+        other = path_normals(6, 0, 2 * BLOCK + 1, periods, STREAM_SHARED)
+        assert not np.shares_memory(other, second)
+        assert np.array_equal(second.view(np.uint64), held.view(np.uint64))
 
     def test_threads_price_as_if_alone(self):
         # at threads=2 both callers hand tiles to the one helper thread
@@ -308,7 +314,7 @@ class TestScratch:
     def test_a_closed_generator_leaves_no_job_behind(self):
         # 60 periods make 8 tiles a block, so the helper holds several jobs at once
         fresh = path_normals(5, 0, BLOCK, 60, STREAM_SHARED).copy()
-        blocks = montecarlo._blocks(5, 3 * BLOCK, 60, threads=2)
+        blocks = rng._blocks(5, 3 * BLOCK, 60, threads=2)
         _, _, first = next(blocks)
         blocks.close()
         # nothing is left for the helper, checked at once, and the block was whole when yielded

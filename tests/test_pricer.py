@@ -745,3 +745,34 @@ class TestRateInN:
         # measured 2.10, 2.07, 2.08 and 2.11
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         assert all(1.9 <= ratio <= 2.4 for ratio in ratios), (errors, ratios)
+
+
+class TestExactFlooredPrices:
+    """The closed form against the exact floored proxy price, at five points with |ms1/ms0| <= 0.1.
+
+    The exact price is the lattice's Richardson pair (steps 2e-5 and 1e-5), whose
+    step error is far below the expansion's. The bounds pin today's error of the
+    default route at order 1, measured at -4.43e-3, +3.83e-2, +1.46e-2, +3.6e-8 and
+    +1.32e-3; they are not an accuracy target. Order 0 is closer at the first three.
+    """
+
+    # (sigma, cap, floor, periods, term, bound on the relative error)
+    POINTS = (
+        (0.20, 0.025, -0.02, 12, 1.0, 6e-3),
+        (0.40, 0.010, -0.02, 12, 1.0, 5e-2),
+        (0.30, 0.050, -0.05, 4, 3.0, 2e-2),
+        (0.15, 0.020, 0.0, 52, 1.0, 1e-6),
+        (0.25, 0.030, -0.01, 12, 5.0, 2e-3),
+    )
+
+    @pytest.mark.parametrize("sigma, cap, floor, periods, term, bound", POINTS)
+    def test_order_one_is_within_todays_error(self, sigma, cap, floor, periods, term, bound):
+        market = MarketParams(rate=0.03, dividend_yield=0.02, sigma=sigma, term=term, periods=periods)
+        coarse = exact_prices(market, cap, floor)[1]
+        fine = exact_prices(market, cap, floor, step=STEP / 2)[1]
+        exact = (4.0 * fine - coarse) / 3.0
+        # the step pairs differ by at most 6e-8 relative
+        assert abs(fine - coarse) <= 1e-7 * exact
+        price = price_ms(ContractSpec(cap=cap, floor=floor), market, order=1)
+        assert abs(price.ms1) <= 0.1 * abs(price.ms0)
+        assert abs(price.total - exact) <= bound * exact, (price.total - exact) / exact

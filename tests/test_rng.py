@@ -26,7 +26,7 @@ from scipy.special import ndtri
 
 import philox_reference
 from checkout import NO_AVX512, checkout_env
-from monthlysum import ContractSpec, MarketParams, McConfig, empirical_cumulants, montecarlo, rng
+from monthlysum import ContractSpec, MarketParams, McConfig, empirical_cumulants, rng
 from monthlysum.montecarlo import BLOCK
 from monthlysum.rng import STREAM_SHARED, _to_unit_interval, path_normals, philox4x32
 
@@ -370,8 +370,43 @@ class TestOnePass:
         assert passes == math.ceil(4096 * (count // 2) / TILE)
 
 
+class TestMemory:
+    def test_path_normals_holds_little_beside_its_output(self):
+        import tracemalloc
+
+        path_normals(1, 0, 1, 12, 0)  # loads ndtri and sizes the lane scratch first
+        tracemalloc.start()
+        try:
+            out = path_normals(1, 0, 200_000, 12, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # drawn BLOCK paths at a time into a small array each: the peak is the
+        # output and one chunk (a whole-range draw and its transposed copy made it 2x)
+        assert peak <= 1.2 * out.nbytes, peak / out.nbytes
+
+
 #: Whether this process may run on two CPUs, so that threads=2 starts the helper.
 TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+class RecordingQueue:
+    """The helper's job queue, passing each job put on it to ``record``.
+
+    A draw makes its reply queue as ``type(jobs)()``, which records nothing.
+    """
+
+    def __init__(self, inner=None, record=None):
+        self.inner = queue.SimpleQueue() if inner is None else inner
+        self.record = record
+
+    def put(self, item):
+        if self.record is not None:
+            self.record(item)
+        self.inner.put(item)
+
+    def get(self):
+        return self.inner.get()
 
 
 class TestHelper:
@@ -384,15 +419,12 @@ class TestHelper:
                 raise FloatingPointError("helper job")
             return ndtri(u, out=out)
 
-        words = np.empty((12, 4096), dtype=np.uint64)
         monkeypatch.setattr(scipy.special, "ndtri", failing)
-        _, wait = rng._draw_normals(words, 1, 0, 12, STREAM_SHARED, 2)
         with pytest.raises(FloatingPointError, match="helper job"):
-            wait()
+            next(rng._blocks(1, BLOCK, 12, threads=2))
         monkeypatch.undo()
-        # the helper survives the failure and serves the next draw
-        z, wait = rng._draw_normals(words, 1, 0, 12, STREAM_SHARED, 2)
-        wait()
+        # the helper survives the failure and serves the next walk
+        [(_, _, z)] = rng._blocks(1, BLOCK, 12, threads=2)
         fresh = path_normals(1, 0, 4096, 12, STREAM_SHARED)
         assert np.array_equal(z.T.view(np.uint64), fresh.view(np.uint64))
 
@@ -413,7 +445,7 @@ class TestHelper:
         monkeypatch.setattr(scipy.special, "ndtri", failing)
         # a 4096 x 12 block is two tiles, each handed whole when drawn ahead,
         # so the third job is block 1's, drawn before block 0 is yielded
-        blocks = montecarlo._blocks(5, 3 * BLOCK, 12, threads=2)
+        blocks = rng._blocks(5, 3 * BLOCK, 12, threads=2)
         start, _, z = next(blocks)
         assert start == 0
         fresh = path_normals(5, 0, BLOCK, 12, STREAM_SHARED)
@@ -445,44 +477,61 @@ class TestHelper:
 
         monkeypatch.setattr(rng, "_rounds", failing)
         monkeypatch.setattr(scipy.special, "ndtri", slow)
-        words = np.empty((60, 4096), dtype=np.uint64)
         with pytest.raises(MemoryError, match="tile 2"):
-            rng._draw_normals(words, 1, 0, 60, STREAM_SHARED, 2)
+            next(rng._blocks(1, BLOCK, 60, threads=2))
         assert passes == [None, None] and not unfinished
         assert all(jobs.empty() for jobs in rng._helper)
 
     @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
     def test_small_draws_hand_no_job_to_the_helper(self, monkeypatch):
-        jobs = []
+        jobs, calls = [], []
         helper_queue = rng._helper_queue
 
-        class Recording:
-            """A queue that records the jobs put on it (the helper's replies are not tuples)."""
-
-            def __init__(self, inner=None):
-                self.inner = queue.SimpleQueue() if inner is None else inner
-
-            def put(self, item):
-                if isinstance(item, tuple):
-                    jobs.append(item)
-                self.inner.put(item)
-
-            def get(self):
-                return self.inner.get()
-
         def recording(threads):
+            calls.append(threads)
             inner = helper_queue(threads)
-            return None if inner is None else Recording(inner)
+            return None if inner is None else RecordingQueue(inner, jobs.append)
 
         monkeypatch.setattr(rng, "_helper_queue", recording)
-        # 50 x 12 is 300 counter blocks; 4096 x 12 is past the floor and hands over
-        for paths, handed in ((50, False), (4096, True)):
+        # 50 x 12 is 300 counter blocks; 4096 x 12 is past the floor and hands over, and so
+        # does a walk of 3 blocks and 1 path, every block on the one queue taken for the walk
+        for paths, handed in ((50, False), (4096, True), (3 * BLOCK + 1, True)):
             jobs.clear()
-            words = np.empty((12, paths), dtype=np.uint64)
-            z, wait = rng._draw_normals(words, 9, 0, 12, STREAM_SHARED, 2)
-            wait()
+            calls.clear()
+            for start, stop, z in rng._blocks(9, paths, 12, threads=2):
+                fresh = path_normals(9, start, stop - start, 12, STREAM_SHARED)
+                assert np.array_equal(z.T.view(np.uint64), fresh.view(np.uint64))
             assert bool(jobs) == handed, paths
-            fresh = path_normals(9, 0, paths, 12, STREAM_SHARED)
+            # a 4096 x 12 block is two tiles, and the 1-path block one
+            assert len(jobs) == {50: 0, 4096: 2, 3 * BLOCK + 1: 7}[paths]
+            assert calls == ([2] if handed else [])
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
+    def test_the_walk_draws_a_block_ahead_and_splits_its_last_tile(self, monkeypatch):
+        events, handed, blocks = [], [], []
+        draw, helper_queue = rng._draw_normals, rng._helper_queue
+
+        def recorded(words, seed, first_path, *args):
+            events.append(("draw", first_path))
+            return draw(words, seed, first_path, *args)
+
+        monkeypatch.setattr(rng, "_draw_normals", recorded)
+        record = lambda job: handed.append(job[1].shape)  # the rows handed over
+        monkeypatch.setattr(rng, "_helper_queue", lambda threads: RecordingQueue(helper_queue(threads), record))
+        for start, stop, z in rng._blocks(4, 2 * BLOCK + 1, 12, threads=2):
+            events.append(("yield", start))
+            blocks.append((start, stop, z.copy()))
+        monkeypatch.undo()
+        # block k + 1 is drawn before block k is yielded
+        assert events == [
+            ("draw", 0), ("draw", BLOCK), ("yield", 0),
+            ("draw", 2 * BLOCK), ("yield", BLOCK), ("yield", 2 * BLOCK),
+        ]
+        # a 4096 x 12 block is two tiles of 6 rows, each handed whole; the 1-path last
+        # block is one tile of 12 rows, whose first half goes to the helper
+        assert handed == [(6, BLOCK)] * 4 + [(6, 1)]
+        for start, stop, z in blocks:
+            fresh = path_normals(4, start, stop - start, 12, STREAM_SHARED)
             assert np.array_equal(z.T.view(np.uint64), fresh.view(np.uint64))
 
     @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
@@ -492,14 +541,12 @@ class TestHelper:
         probe = (
             "import sys, threading\n"
             "import numpy as np\n"
-            "from monthlysum.rng import _draw_normals, path_normals\n"
+            "from monthlysum.rng import _blocks, path_normals\n"
             "sys.setswitchinterval(1e-6)\n"
             "start, same = threading.Barrier(6), []\n"
             "def draw(seed):\n"
-            "    words = np.empty((60, 3000), dtype=np.uint64)\n"
             "    start.wait(timeout=30)\n"
-            "    z, wait = _draw_normals(words, seed, 0, 60, 0, 2)\n"
-            "    wait()\n"
+            "    [(_, _, z)] = _blocks(seed, 3000, 60, 2)\n"
             "    z = z.T.view(np.uint64)\n"
             "    same.append(np.array_equal(z, path_normals(seed, 0, 3000, 60, 0).view(np.uint64)))\n"
             "callers = [threading.Thread(target=draw, args=(seed,)) for seed in range(6)]\n"
