@@ -5,7 +5,8 @@
   (``ms_correction_quadrature``), each cut at its integrand's sign changes
   by ``_quad_split``. Each piece is one QUADPACK ``qagse`` call (Piessens
   et al., 1983) on scipy's compiled ``_quadpack`` extension, loaded at first
-  use without ``scipy.integrate``, whose 0.5 s of import only ``quad`` needs.
+  use by :mod:`monthlysum._compiled` without ``scipy.integrate``, whose 0.5 s
+  of import only ``quad`` needs.
 * The printed transcriptions the corrected forms in :mod:`monthlysum.moments`
   and :mod:`monthlysum.pricer` replace, kept verbatim so the validation
   suite can show which are defective. ``_variant_moments`` is the one place
@@ -16,9 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import sys
 
+from ._compiled import _load
 from .contracts import ContractSpec, MarketParams, _require_integer
 from .edgeworth import EdgeworthParams
 from .errors import QuadratureConvergenceError
@@ -44,30 +44,11 @@ _QAGSE_REASONS = {
     7: "abnormal termination of the routine",
 }
 
-_QUADPACK = "scipy.integrate._quadpack"
-
 
 @functools.cache
 def _quadpack():
-    """scipy's compiled QUADPACK module, loaded without running ``scipy.integrate``.
-
-    An entry already in ``sys.modules`` is reused; a module loaded here is
-    registered under its own name, so a later ``import scipy.integrate``
-    shares it.
-    """
-    module = sys.modules.get(_QUADPACK)
-    if module is None:
-        import importlib.util
-        from importlib.machinery import PathFinder
-
-        import scipy  # deferred: only the oracle needs it
-
-        spec = PathFinder.find_spec(_QUADPACK, [os.path.join(scipy.__path__[0], "integrate")])
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        # a racing first call, or a scipy.integrate import, may have registered it first
-        module = sys.modules.setdefault(_QUADPACK, module)
-    return module
+    """scipy's compiled QUADPACK module, loaded without running ``scipy.integrate``."""
+    return _load("integrate", ("_quadpack",))
 
 
 def _qagse(fn, a: float, b: float):
@@ -168,7 +149,11 @@ def ms_correction_quadrature(ep: EdgeworthParams, market: MarketParams) -> float
 
     def integrand(z: float) -> float:
         # H3(z) = z(z^2 - 3); phi inline, as in _integrate_moment
-        return (math.exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * (_INV_SQRT_2PI * math.exp(-0.5 * z * z))
+        try:
+            return (math.exp(a + b * z) - 1.0) * (z * (z * z - 3.0)) * (_INV_SQRT_2PI * math.exp(-0.5 * z * z))
+        except OverflowError:  # the tilt alone overflows; one exponent keeps the tilted density
+            g = -0.5 * z * z
+            return (math.exp(a + b * z + g) - math.exp(g)) * (z * (z * z - 3.0)) * _INV_SQRT_2PI
 
     root3 = math.sqrt(3.0)
     j = _quad_split(integrand, z0, hi, (-root3, 0.0, root3))

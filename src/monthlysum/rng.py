@@ -30,9 +30,14 @@ strictly inside (0, 1), so the inverse-CDF transform never produces an
 infinity. They are made on the bits: v = bits >> 12 under the exponent of
 1.0 is the double 1 + v * 2^-52, and subtracting 1 - 2^-53 leaves
 (v + 0.5) * 2^-52, representable, so IEEE subtraction returns it exactly.
-The normals are scipy's ``ndtri`` of them, tile by tile, imported at the first
-draw so that ``import monthlysum`` and a closed-form price never load
-``scipy.special``. :func:`_blocks` is the engine's one walk over draw rows,
+The normals are scipy's compiled ``ndtri`` (Cephes) of them, tile by tile.
+:func:`_ndtri` loads it at the first draw from ``scipy.special``'s extension
+modules alone (:mod:`monthlysum._compiled`): ``_ufuncs``, which holds it,
+after the four siblings that ``_ufuncs`` imports. The package ``__init__``
+never runs, so a draw loads about 280 fewer modules, and ``import
+monthlysum`` and a closed-form price load neither. A later ``import
+scipy.special`` reuses those modules, so ``scipy.special.ndtri`` is the
+engine's ``ndtri``. :func:`_blocks` is the engine's one walk over draw rows,
 :data:`BLOCK` at a time. At ``threads`` >= 2 on at least 2 allowed CPUs, for
 walks of at least :data:`_HANDOFF_LANES` counter blocks, one helper thread
 (started at the first such walk) runs each tile's ``ndtri``, releasing the
@@ -42,6 +47,7 @@ GIL, while the caller runs the next tile's rounds or prices the block before;
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from contextlib import suppress
@@ -49,6 +55,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ._compiled import _load
 from .contracts import _require_integer
 
 __all__ = [
@@ -90,6 +97,12 @@ if hasattr(os, "register_at_fork"):  # a forked child has no helper thread
 #: The stream id of every Monte Carlo draw, so that all payoffs read
 #: common random numbers.
 STREAM_SHARED = 0
+
+
+@functools.cache
+def _ndtri():
+    """scipy's compiled ``ndtri`` ufunc, loaded without running ``scipy.special``'s ``__init__``."""
+    return _load("special", ("_ufuncs_cxx", "_ellip_harm_2", "_special_ufuncs", "_gufuncs", "_ufuncs")).ndtri
 
 
 def _round_keys(key: tuple[int, int]) -> np.ndarray:
@@ -234,8 +247,7 @@ def _draw_normals(
     raised the first failed one's error. The caller runs the second half of the last tile's
     rows if ``split``. A draw that raises waits for its jobs first.
     """
-    from scipy.special import ndtri  # deferred: a closed-form quote never loads scipy.special
-
+    ndtri = _ndtri()
     blocks, n_paths = len(words) // 2, words.shape[1]
     height = _TILE // n_paths  # block rows per tile, each across every path
     pairs = words.reshape(blocks, 2, n_paths)  # [b, w, p]: word w of path p's block b

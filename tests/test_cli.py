@@ -521,6 +521,25 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "moment set implies nonpositive variance" in err
 
+    def test_overflowing_tilt_prices_as_the_library_does(self, capsys):
+        # exp(a + b z) overflows in the quadrature correction's tail, where
+        # the tilted density exp(a + b z - z^2 / 2) is finite: exit 0, and the
+        # closed route's price, ms1 -0.0
+        argv = ("--vol", "20", "--term", "300", "--months", "5000")
+        code, out, err = run_cli(capsys, "price", *argv)
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        want = price_ms(ContractSpec(cap=0.025), MarketParams(0.03, 0.02, 20.0, 300.0, 5000))
+        assert [record["ms1"].hex(), record["total"].hex()] == [want.ms1.hex(), want.total.hex()]
+        assert record["ms1"].hex() == "-0x0.0p+0"
+
+    def test_unconverged_overflowing_tilt_is_three_with_its_reason(self, capsys):
+        # past the overflow the quadrature runs, and QUADPACK reports why it stops
+        argv = ("--vol", "10", "--cap", "30", "--term", "100", "--months", "1000", "--rate", "-0.5")
+        code, out, err = run_cli(capsys, "price", *argv)
+        assert (code, out) == (3, "")
+        assert "roundoff error prevents the requested tolerance (QUADPACK ier=2)" in err
+
     def test_numerical_failure_is_three(self, capsys, monkeypatch):
         import monthlysum.cli as cli
 

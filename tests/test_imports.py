@@ -100,12 +100,12 @@ HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.lina
         (["price", "--floor", "-0.05", "--format", "csv"], []),
         (["sweep", "--axis", "cap", "--from", "0.01", "--to", "0.05", "--step", "0.01"], []),
         (["validate"], []),
-        (["mc", "--mc-paths", "4096"], ["scipy.special"]),
+        (["mc", "--mc-paths", "4096"], []),
     ),
 )
 def test_cold_commands_load_only_the_scipy_they_use(argv, loads):
-    # the quadrature oracle needs QUADPACK's compiled module alone; only the
-    # Monte Carlo draws' ndtri needs a heavy subpackage, scipy.special
+    # the quadrature oracle needs QUADPACK's compiled module alone, and the
+    # Monte Carlo draws' ndtri scipy.special's compiled modules alone
     probe = (
         "import contextlib, io, sys\n"
         "from monthlysum import cli\n"
@@ -149,7 +149,8 @@ def test_default_price_leaves_scipy_integrate_unloaded():
 
 def test_closed_form_leaves_scipy_special_unloaded_until_a_draw():
     # the normal CDF is a Cephes port on math.exp; only the Monte Carlo
-    # draws' ndtri loads scipy.special, at the first one
+    # draws' ndtri loads scipy.special's compiled _ufuncs, at the first one,
+    # and never the scipy.special package
     probe = (
         "import sys, monthlysum\n"
         "from monthlysum import ContractSpec, MarketParams, price_ms\n"
@@ -158,9 +159,10 @@ def test_closed_form_leaves_scipy_special_unloaded_until_a_draw():
         "for contract in (ContractSpec(cap=0.025), ContractSpec(cap=0.025, floor=-0.05)):\n"
         "    price_ms(contract, market)\n"
         "    price_ms(contract, market, order=0)\n"
-        "states = ['scipy.special' in sys.modules]\n"
+        "def loaded(): return [m in sys.modules for m in ('scipy.special', 'scipy.special._ufuncs')]\n"
+        "states = [loaded()]\n"
         "path_normals(1, 0, 2, 3, 0)\n"
-        "states.append('scipy.special' in sys.modules)\n"
+        "states.append(loaded())\n"
         "print(states)\n"
     )
     out = subprocess.run(
@@ -171,7 +173,7 @@ def test_closed_form_leaves_scipy_special_unloaded_until_a_draw():
         timeout=120,
         env=checkout_env(),
     )
-    assert out.stdout.strip().splitlines()[-1] == "[False, True]"
+    assert out.stdout.strip().splitlines()[-1] == "[[False, False], [False, True]]"
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -186,7 +188,8 @@ def _imported_modules(path: Path) -> set[str]:
 
 def test_only_rng_starts_a_thread():
     # rng's one ndtri helper is the package's only thread; a pool over whole
-    # blocks fought over the GIL and lost
+    # blocks fought over the GIL and lost. _compiled takes threading's Lock
+    # alone, to load each compiled scipy module once
     concurrency = {"threading", "_thread", "queue", "concurrent", "multiprocessing"}
     sources = sorted((SRC / "monthlysum").glob("*.py"))
     users = [
@@ -194,7 +197,15 @@ def test_only_rng_starts_a_thread():
         for path in sources
         if any(module.split(".")[0] in concurrency for module in _imported_modules(path))
     ]
-    assert users == ["rng.py"]
+    assert users == ["_compiled.py", "rng.py"]
+    compiled = SRC / "monthlysum" / "_compiled.py"
+    assert _imported_modules(compiled) & concurrency == {"threading"}
+    used = {
+        node.attr
+        for node in ast.walk(ast.parse(compiled.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "threading"
+    }
+    assert used == {"Lock"}
 
 
 def test_montecarlo_takes_only_the_walk_from_rng():
@@ -245,7 +256,7 @@ def test_threads_start_a_thread_only_where_it_can_pay():
     assert out.stdout.strip().splitlines()[-1] == str([1, 1, 1, 1 + helper, 1 + helper])
 
 
-@pytest.mark.parametrize("name", ("moments.py", "pricer.py", "_reference.py"))
+@pytest.mark.parametrize("name", ("moments.py", "pricer.py", "_reference.py", "_compiled.py"))
 def test_closed_form_imports_no_numpy(name):
     # the closed form and its references are scalar: the normal density is
     # math.exp, so a price does not depend on which exp kernel numpy

@@ -325,13 +325,12 @@ class TestScratch:
 
     def test_an_error_in_the_consumer_leaves_no_job_behind(self, monkeypatch):
         # pricing block 1 fails while block 2, drawn ahead, has its tiles on the helper
-        import scipy.special
-
         market = replace(MARKET, term=5.0, periods=60)
-        capped_sums, calls, ndtri = montecarlo._capped_sums, [], scipy.special.ndtri
+        capped_sums, calls, ndtri, slowed = montecarlo._capped_sums, [], rng._ndtri(), []
 
         def slow(u, out):  # so that a job left behind would still be queued at the check
             if threading.current_thread().name == "monthlysum-ndtri":
+                slowed.append(None)
                 time.sleep(0.005)
             return ndtri(u, out=out)
 
@@ -342,10 +341,11 @@ class TestScratch:
             return capped_sums(*args)
 
         monkeypatch.setattr(montecarlo, "_capped_sums", failing)
-        monkeypatch.setattr(scipy.special, "ndtri", slow)
+        monkeypatch.setattr(rng, "_ndtri", lambda: slow)
         with pytest.raises(ArithmeticError, match="pricing block 1"):
             simulate_ms(CAP_ONLY, market, McConfig(paths=4 * BLOCK, seed=5), threads=2)
         monkeypatch.undo()
+        assert slowed  # the helper's jobs ran the slow ndtri
         assert all(jobs.empty() for jobs in rng._helper)
         cfg = McConfig(paths=BLOCK + 10, seed=5)
         assert simulate_ms(CAP_ONLY, market, cfg, threads=2) == simulate_ms(CAP_ONLY, market, cfg)

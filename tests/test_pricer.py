@@ -478,6 +478,27 @@ QUADRATURE_WITHOUT_SCIPY_INTEGRATE = (
 )
 
 
+#: hides QUADPACK's compiled module from the direct load (as another scipy
+#: may lay it out elsewhere), then prices each (contract, market) pair read
+#: from stdin on the quadrature route, as PriceBreakdown dicts, and reports
+#: whether the oracle fell back to scipy.integrate's own import
+QUADRATURE_THROUGH_SCIPY_INTEGRATE = (
+    "import dataclasses, json, sys\n"
+    "from importlib.machinery import PathFinder\n"
+    "from monthlysum import ContractSpec, MarketParams, _compiled, _reference, price_ms\n"
+    "class Missing:\n"
+    "    @staticmethod\n"
+    "    def find_spec(name, path):\n"
+    "        return None if name == 'scipy.integrate._quadpack' else PathFinder.find_spec(name, path)\n"
+    "_compiled.PathFinder = Missing\n"
+    "pairs = [(ContractSpec(**c), MarketParams(**m)) for c, m in json.load(sys.stdin)]\n"
+    "out = [dataclasses.asdict(price_ms(c, m, correction='quadrature')) for c, m in pairs]\n"
+    "fell_back = ['scipy.integrate' in sys.modules,\n"
+    "             _reference._quadpack() is sys.modules['scipy.integrate._quadpack']]\n"
+    "print(json.dumps({'fell_back': fell_back, 'breakdowns': out}))\n"
+)
+
+
 #: runs the oracle on the default contract, recording each QUADPACK piece,
 #: then imports scipy.integrate and integrates the first moment piece and
 #: the last correction piece again, by _quad_split and by quad
@@ -602,6 +623,25 @@ class TestExactPins:
         ]
         assert [_hexed(m) for m in got["moments"]] == [
             _hexed(dataclasses.asdict(quadrature_moments(m, c))) for c, m, _ in EXACT_PINS
+        ]
+
+    def test_quadrature_route_falls_back_to_scipy_integrate(self):
+        # the eight quadrature-route pins, with QUADPACK reached through
+        # scipy.integrate's import when its module cannot be loaded directly
+        pairs = [[dataclasses.asdict(c), dataclasses.asdict(m)] for c, m, _ in EXACT_PINS]
+        proc = subprocess.run(
+            [sys.executable, "-c", QUADRATURE_THROUGH_SCIPY_INTEGRATE],
+            input=json.dumps(pairs),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=checkout_env(),
+        )
+        got = json.loads(proc.stdout)
+        assert got["fell_back"] == [True, True]
+        assert [_hexed(b) for b in got["breakdowns"]] == [
+            _hexed(dataclasses.asdict(expected)) for _, _, expected in EXACT_PINS
         ]
 
     def test_scipy_integrate_shares_the_oracles_quadpack(self):

@@ -8,6 +8,7 @@ the tiled generator must reproduce its every bit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -327,6 +328,141 @@ class TestCpuFeatures:
         assert [float.fromhex(k) for k in kstats] == [here.iota1, here.iota2, here.iota3]
 
 
+#: Draws after altering how scipy.special loads, as argv[1] names: 'no-package'
+#: makes the scipy.special package unimportable; 'missing:<leaf>' hides one
+#: compiled module from the direct load (as an older scipy lacks it);
+#: 'ufuncs-alone' first loads _ufuncs without its siblings, which imports its
+#: package mid-load; 'import-first' imports scipy.special before any draw.
+#: Prints the sha256 of path_normals' bits for each request read from stdin,
+#: the 10^4-path simulate_ms at 1 and 2 threads, whether the package was
+#: loaded by the draws, and whether a later scipy.special.ndtri is the engine's.
+NDTRI_LOAD = (
+    "import hashlib, importlib, json, sys\n"
+    "from importlib.machinery import PathFinder\n"
+    "from monthlysum import ContractSpec, MarketParams, McConfig, _compiled, rng, simulate_ms\n"
+    "how = sys.argv[1]\n"
+    "if how == 'no-package':\n"
+    "    class Refuse:\n"
+    "        def find_spec(self, name, path=None, target=None):\n"
+    "            if name == 'scipy.special':\n"
+    "                raise ModuleNotFoundError(f'{name} is blocked', name=name)\n"
+    "    sys.meta_path.insert(0, Refuse())\n"
+    "elif how.startswith('missing:'):\n"
+    "    class Missing:\n"
+    "        @staticmethod\n"
+    "        def find_spec(name, path):\n"
+    "            return None if name == 'scipy.special.' + how[8:] else PathFinder.find_spec(name, path)\n"
+    "    _compiled.PathFinder = Missing\n"
+    "elif how == 'ufuncs-alone':\n"
+    "    _compiled._load('special', ('_ufuncs',))\n"
+    "elif how == 'import-first':\n"
+    "    import scipy.special\n"
+    "digests = [\n"
+    "    hashlib.sha256(rng.path_normals(*r).tobytes()).hexdigest() for r in json.load(sys.stdin)\n"
+    "]\n"
+    "market = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)\n"
+    "res = [\n"
+    "    simulate_ms(ContractSpec(cap=0.025), market, McConfig(paths=10_000, seed=42), threads)\n"
+    "    for threads in (1, 2)\n"
+    "]\n"
+    "package = 'scipy.special' in sys.modules\n"
+    "try:\n"
+    "    shared = importlib.import_module('scipy.special').ndtri is rng._ndtri()\n"
+    "except ModuleNotFoundError:\n"
+    "    shared = None\n"
+    "print(json.dumps({'digests': digests, 'mc': [[r.mean.hex(), r.stderr.hex()] for r in res],\n"
+    "                  'package': package, 'shared': shared}))\n"
+)
+
+
+class TestNdtriLoad:
+    REQUESTS = [(42, 0, 5000, 13, 0), (7, 5, 2, 2 * TILE + 3, 2)]
+
+    def _draw(self, how):
+        proc = subprocess.run(
+            [sys.executable, "-c", NDTRI_LOAD, how],
+            input=json.dumps(self.REQUESTS),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=checkout_env(),
+        )
+        got = json.loads(proc.stdout)
+        want = [
+            hashlib.sha256(philox_reference.path_normals(*r).tobytes()).hexdigest()
+            for r in self.REQUESTS
+        ]
+        assert got["digests"] == want
+        # tests/test_montecarlo.py::TestExactPins' 12-period simulate_ms pin, three blocks
+        for mean, stderr in got["mc"]:
+            assert (float.fromhex(mean), float.fromhex(stderr)) == (
+                0.008112822472706211,
+                0.00026454484491526137,
+            )
+        return got["package"], got["shared"]
+
+    def test_draws_need_no_scipy_special_package(self):
+        # the compiled modules load by path; the package's __init__ never runs
+        assert self._draw("no-package") == (False, None)
+
+    def test_a_later_import_shares_the_engines_ndtri(self):
+        assert self._draw("direct") == (False, True)
+
+    def test_an_earlier_import_is_reused(self):
+        assert self._draw("import-first") == (True, True)
+
+    @pytest.mark.parametrize("leaf", ("_special_ufuncs", "_ufuncs"))
+    def test_a_missing_leaf_falls_back_to_the_package(self, leaf):
+        # the siblings loaded before the missing one are reused by the package import
+        assert self._draw(f"missing:{leaf}") == (True, True)
+
+    def test_racing_first_draws_load_each_module_once(self):
+        # six callers ask for ndtri together, before their first draws; a compiled
+        # module executed twice at once raises, which shows as an error or a fallback
+        probe = (
+            "import importlib.util, sys, threading, time\n"
+            "import numpy as np\n"
+            "from monthlysum import rng\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "make = importlib.util.module_from_spec\n"
+            "def slow(spec):  # widens the window between the sys.modules check and the load\n"
+            "    time.sleep(0.01)\n"
+            "    return make(spec)\n"
+            "importlib.util.module_from_spec = slow\n"
+            "start, drawn, errors = threading.Barrier(6), [], []\n"
+            "def draw(seed):\n"
+            "    start.wait(timeout=30)\n"
+            "    try:\n"
+            "        ndtri = rng._ndtri()\n"
+            "        drawn.append((seed, ndtri, rng.path_normals(seed, 0, 3, 5, 0)))\n"
+            "    except Exception as error:\n"
+            "        errors.append(repr(error))\n"
+            "callers = [threading.Thread(target=draw, args=(seed,)) for seed in range(6)]\n"
+            "for caller in callers: caller.start()\n"
+            "for caller in callers: caller.join(timeout=60)\n"
+            "same = [\n"
+            "    ndtri is rng._ndtri() and np.array_equal(z, rng.path_normals(seed, 0, 3, 5, 0))\n"
+            "    for seed, ndtri, z in drawn\n"
+            "]\n"
+            "print(errors, sum(same), 'scipy.special' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=checkout_env(),
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[] 6 False"
+
+    def test_a_leaf_that_imports_its_package_falls_back(self):
+        # _ufuncs without its siblings imports scipy.special mid-load, whose
+        # __init__ meets the half-made module; the loader drops it and imports
+        assert self._draw("ufuncs-alone") == (True, True)
+
+
 def _block_normals(seed, path, block, stream):
     """Block ``block``'s two normals of ``path`` from the known-answer entry point."""
     w = philox4x32((block, path & 0xFFFFFFFF, path >> 32, stream), (seed & 0xFFFFFFFF, seed >> 32))
@@ -412,14 +548,12 @@ class RecordingQueue:
 class TestHelper:
     @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
     def test_a_failed_job_raises_in_the_draw(self, monkeypatch):
-        import scipy.special
-
         def failing(u, out):
             if threading.current_thread().name == "monthlysum-ndtri":
                 raise FloatingPointError("helper job")
             return ndtri(u, out=out)
 
-        monkeypatch.setattr(scipy.special, "ndtri", failing)
+        monkeypatch.setattr(rng, "_ndtri", lambda: failing)
         with pytest.raises(FloatingPointError, match="helper job"):
             next(rng._blocks(1, BLOCK, 12, threads=2))
         monkeypatch.undo()
@@ -430,8 +564,6 @@ class TestHelper:
 
     @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
     def test_a_failed_job_in_the_block_drawn_ahead_raises_in_the_caller(self, monkeypatch):
-        import scipy.special
-
         helper_calls = 0
 
         def failing(u, out):
@@ -442,7 +574,7 @@ class TestHelper:
                     raise FloatingPointError("block 1")
             return ndtri(u, out=out)
 
-        monkeypatch.setattr(scipy.special, "ndtri", failing)
+        monkeypatch.setattr(rng, "_ndtri", lambda: failing)
         # a 4096 x 12 block is two tiles, each handed whole when drawn ahead,
         # so the third job is block 1's, drawn before block 0 is yielded
         blocks = rng._blocks(5, 3 * BLOCK, 12, threads=2)
@@ -456,8 +588,6 @@ class TestHelper:
 
     @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
     def test_a_draw_that_fails_waits_for_the_jobs_it_handed_over(self, monkeypatch):
-        import scipy.special
-
         rounds, passes = rng._rounds, []
 
         def failing(*args):
@@ -466,20 +596,22 @@ class TestHelper:
                 raise MemoryError("tile 2")
             return rounds(*args)
 
-        unfinished = []  # helper jobs begun and not yet done
+        unfinished, begun = [], []  # helper jobs begun and not yet done; all begun
 
         def slow(u, out):  # so that a job left behind would still run at the check
             if threading.current_thread().name == "monthlysum-ndtri":
                 unfinished.append(None)
+                begun.append(None)
                 time.sleep(0.02)
                 unfinished.pop()
             return ndtri(u, out=out)
 
         monkeypatch.setattr(rng, "_rounds", failing)
-        monkeypatch.setattr(scipy.special, "ndtri", slow)
+        monkeypatch.setattr(rng, "_ndtri", lambda: slow)
         with pytest.raises(MemoryError, match="tile 2"):
             next(rng._blocks(1, BLOCK, 60, threads=2))
         assert passes == [None, None] and not unfinished
+        assert begun == [None]  # the first tile's job ran the slow ndtri
         assert all(jobs.empty() for jobs in rng._helper)
 
     @pytest.mark.skipif(not TWO_CPUS, reason="needs 2 allowed CPUs")
