@@ -48,7 +48,14 @@ def bs_call(
     sq = vol * math.sqrt(term)
     d1 = (math.log(spot / strike) + (rate - div_yield + 0.5 * vol * vol) * term) / sq
     d2 = d1 - sq
-    return spot * math.exp(-div_yield * term) * standard_normal_cdf(d1) - strike * math.exp(
+    try:
+        carry = math.exp(-div_yield * term)
+    except OverflowError:
+        raise OverflowError(
+            f"exp(-div_yield * term) overflows at exponent {-div_yield * term!r}: "
+            "the log-return proxy's price is past the double range"
+        ) from None
+    return spot * carry * standard_normal_cdf(d1) - strike * math.exp(
         -rate * term
     ) * standard_normal_cdf(d2)
 
@@ -83,10 +90,17 @@ def ms_correction_closed(
     t = ep.term
     nu, v = ep.nu, ep.v
     exponent = correction_exponent(nu, v, t) if printed else -0.5 * (nu * nu * t / (v * v))
+    try:
+        tilt = math.exp((nu + 0.5 * v * v) * t)
+    except OverflowError:
+        raise OverflowError(
+            f"exp((nu + v^2/2) T) overflows at exponent {(nu + 0.5 * v * v) * t!r}: "
+            "the log-return proxy's price is past the double range"
+        ) from None
     j = (
         t * (v * v - nu) * math.exp(exponent) / math.sqrt(2.0 * math.pi)
         + (v * v * t) ** 1.5
-        * math.exp((nu + 0.5 * v * v) * t)
+        * tilt
         * standard_normal_cdf((nu / v + v) * math.sqrt(t))
     )
     return math.exp(-market.rate * t) * ep.epsilon1 * j

@@ -19,8 +19,6 @@ bound.
 from __future__ import annotations
 
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -42,7 +40,7 @@ from monthlysum import (
 from monthlysum.moments import PRINTED
 from monthlysum.validation import run_validation
 
-from checkout import checkout_env
+from checkout import python
 from convolution_oracle import exact_prices
 
 RATE = 0.03
@@ -292,12 +290,7 @@ def test_criterion_7_correction_formula_and_defect_detection(capsys, corrected_v
 
 def test_criterion_8_outputs_invariant_to_thread_count(capsys):
     def run(*argv: str) -> bytes:
-        proc = subprocess.run(
-            [sys.executable, "-m", "monthlysum", *argv],
-            capture_output=True,
-            timeout=120,
-            env=checkout_env(),
-        )
+        proc = python("-m", "monthlysum", *argv)
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 

@@ -6,7 +6,6 @@ import argparse
 import io
 import json
 import resource
-import subprocess
 import sys
 
 import pytest
@@ -15,7 +14,7 @@ from monthlysum import ContractSpec, MarketParams, cli, price_ms
 from monthlysum.cli import main
 from monthlysum.errors import QuadratureConvergenceError
 
-from checkout import checkout_env
+from checkout import python
 
 
 #: Exact stdout of `price` and `price --floor -0.05 --format csv`; a change to
@@ -51,13 +50,8 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_subprocess(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "monthlysum", *argv],
-        capture_output=True,
-        timeout=120,
-        env=checkout_env(),
-    )
+def run_subprocess(*argv, **kwargs):
+    return python("-m", "monthlysum", *argv, **kwargs)
 
 
 class TestPrice:
@@ -264,12 +258,8 @@ class TestSweep:
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "monthlysum", "sweep", "--axis", "cap", "--from", "0.001",
-             "--to", "0.1", "--step", step],
-            capture_output=True,
-            timeout=120,
-            env=checkout_env(),
+        proc = run_subprocess(
+            "sweep", "--axis", "cap", "--from", "0.001", "--to", "0.1", "--step", step,
             preexec_fn=cap_memory,
         )
         assert (proc.returncode, proc.stdout) == (2, b"")
@@ -539,6 +529,18 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "price", *argv)
         assert (code, out) == (3, "")
         assert "roundoff error prevents the requested tolerance (QUADPACK ier=2)" in err
+
+    def test_overflowing_leading_term_is_three_and_named(self, capsys):
+        # y_eff = -1086.87 over 4.49 years: exp(-y_eff T) in bs_call overflows
+        argv = (
+            "--cap", "7.86055554030477", "--floor", "3.3804638883787863",
+            "--vol", "6.709879489006331", "--term", "4.494086696455761", "--months", "3308",
+            "--rate", "0.4274809464100172", "--div", "0.10927073209737703",
+        )
+        code, out, err = run_cli(capsys, "price", *argv)
+        assert (code, out) == (3, "")
+        assert "numerical failure: exp(-div_yield * term) overflows at exponent 4884.5" in err
+        assert "the log-return proxy's price is past the double range" in err
 
     def test_numerical_failure_is_three(self, capsys, monkeypatch):
         import monthlysum.cli as cli

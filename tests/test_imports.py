@@ -8,13 +8,11 @@ import ast
 import importlib
 import inspect
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from checkout import SRC, checkout_env
+from checkout import SRC, probe
 
 
 #: The public API. A name added or removed here is a deliberate API change.
@@ -65,7 +63,7 @@ def test_import_leaves_scipy_stats_unloaded():
     # a cold `mc` needs no quadrature, and `price`'s quadrature correction
     # loads QUADPACK's extension alone, not scipy.integrate. The package
     # import leaves the CLI (and its parser) unbuilt.
-    probe = (
+    source = (
         "import sys, monthlysum\n"
         "cli_loaded = 'monthlysum.cli' in sys.modules\n"
         "from monthlysum import cli\n"
@@ -77,15 +75,8 @@ def test_import_leaves_scipy_stats_unloaded():
         "states.append(loaded())\n"
         "print(cli_loaded, states)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-        env=checkout_env(),
-    )
-    states = out.stdout.strip().splitlines()[-1]
+    out = probe(source)
+    states = out.strip().splitlines()[-1]
     assert states == "False [[False, False], [False, False], [False, False]]"
 
 
@@ -106,28 +97,21 @@ HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.lina
 def test_cold_commands_load_only_the_scipy_they_use(argv, loads):
     # the quadrature oracle needs QUADPACK's compiled module alone, and the
     # Monte Carlo draws' ndtri scipy.special's compiled modules alone
-    probe = (
+    source = (
         "import contextlib, io, sys\n"
         "from monthlysum import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
         f"print(code, [m for m in {HEAVY_SCIPY!r} if m in sys.modules])\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-        env=checkout_env(),
-    )
-    assert out.stdout.strip().splitlines()[-1] == f"0 {loads!r}"
+    out = probe(source)
+    assert out.strip().splitlines()[-1] == f"0 {loads!r}"
 
 
 def test_default_price_leaves_scipy_integrate_unloaded():
     # price_ms defaults to the closed correction, so a quote, cap-only or
     # floored, at either order, never reaches the quadrature oracle
-    probe = (
+    source = (
         "import sys, monthlysum\n"
         "from monthlysum import ContractSpec, MarketParams, price_ms\n"
         "market = MarketParams(0.03, 0.02, 0.2, 1.0, 12)\n"
@@ -136,22 +120,15 @@ def test_default_price_leaves_scipy_integrate_unloaded():
         "    price_ms(contract, market, order=0)\n"
         "print('scipy.integrate' in sys.modules)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-        env=checkout_env(),
-    )
-    assert out.stdout.strip().splitlines()[-1] == "False"
+    out = probe(source)
+    assert out.strip().splitlines()[-1] == "False"
 
 
 def test_closed_form_leaves_scipy_special_unloaded_until_a_draw():
     # the normal CDF is a Cephes port on math.exp; only the Monte Carlo
     # draws' ndtri loads scipy.special's compiled _ufuncs, at the first one,
     # and never the scipy.special package
-    probe = (
+    source = (
         "import sys, monthlysum\n"
         "from monthlysum import ContractSpec, MarketParams, price_ms\n"
         "from monthlysum.rng import path_normals\n"
@@ -165,15 +142,8 @@ def test_closed_form_leaves_scipy_special_unloaded_until_a_draw():
         "states.append(loaded())\n"
         "print(states)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-        env=checkout_env(),
-    )
-    assert out.stdout.strip().splitlines()[-1] == "[[False, False], [False, True]]"
+    out = probe(source)
+    assert out.strip().splitlines()[-1] == "[[False, False], [False, True]]"
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -226,7 +196,7 @@ def test_montecarlo_takes_only_the_walk_from_rng():
 def test_threads_start_a_thread_only_where_it_can_pay():
     # threads=1, or threads=2 on one allowed CPU, starts nothing; threads=2 on
     # two CPUs starts the one helper, and later calls reuse it
-    probe = (
+    source = (
         "import os, threading\n"
         "from monthlysum import ContractSpec, MarketParams, McConfig, simulate_ms\n"
         "market = MarketParams(0.03, 0.02, 0.2, 1.0, 12)\n"
@@ -244,16 +214,9 @@ def test_threads_start_a_thread_only_where_it_can_pay():
         "    counts.append(threading.active_count())\n"
         "print(counts)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-        env=checkout_env(),
-    )
+    out = probe(source)
     helper = 1 if len(os.sched_getaffinity(0)) >= 2 else 0
-    assert out.stdout.strip().splitlines()[-1] == str([1, 1, 1, 1 + helper, 1 + helper])
+    assert out.strip().splitlines()[-1] == str([1, 1, 1, 1 + helper, 1 + helper])
 
 
 @pytest.mark.parametrize("name", ("moments.py", "pricer.py", "_reference.py", "_compiled.py"))

@@ -11,8 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -38,7 +36,7 @@ from monthlysum.pricer import PriceBreakdown
 from monthlysum.moments import PRINTED, closed_form_moments, standard_normal_pdf
 from monthlysum.validation import CORRECTION_REL_TOL, REL_DENOM_FLOOR
 
-from checkout import NO_AVX512, checkout_env
+from checkout import HIDE, NO_AVX512, PAIRS, REFUSE, probe
 from convolution_oracle import STEP, exact_prices
 
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
@@ -145,6 +143,19 @@ class TestCorrectionTerm:
         ep = edgeworth_params(CAP_ONLY, MARKET)
         with pytest.raises(ValueError, match="variant"):
             ms_correction_closed(ep, MARKET, variant="bogus")
+
+    def test_overflowing_tilt_is_named(self):
+        # nu + v^2/2 = 11.097 over 64 years: the closed correction's
+        # exp((nu + v^2/2) T) overflows where the leading term still prices
+        contract = ContractSpec(cap=2.944702294962673, floor=2.6954354023498786)
+        market = MarketParams(
+            0.26245383704745917, 0.2859967102122889, 9.330994728200345, 64.02977016493574, 543
+        )
+        assert math.isfinite(price_ms(contract, market, order=0).total)
+        with pytest.raises(OverflowError) as info:
+            price_ms(contract, market)
+        assert "exp((nu + v^2/2) T) overflows at exponent 710.5" in str(info.value)
+        assert "the log-return proxy's price is past the double range" in str(info.value)
 
 
 class TestPriceMs:
@@ -406,6 +417,9 @@ EXACT_PINS = (
     ),
 )
 
+#: EXACT_PINS' (contract, market) pairs as PAIRS reads them from stdin
+PINS_STDIN = json.dumps([[dataclasses.asdict(c), dataclasses.asdict(m)] for c, m, _ in EXACT_PINS])
+
 #: (ms1, total) of price_ms at its defaults (the closed correction) at the
 #: same eight inputs, as float.hex; ms0 and params equal EXACT_PINS', and
 #: contract2's two routes agree to the bit
@@ -423,10 +437,9 @@ CLOSED_PINS = (
 
 #: prices each (contract, market) pair read from stdin on the quadrature
 #: route and at the defaults, as PriceBreakdown dicts
-PRICE_STDIN = (
-    "import dataclasses, json, sys\n"
-    "from monthlysum import ContractSpec, MarketParams, price_ms\n"
-    "pairs = [(ContractSpec(**c), MarketParams(**m)) for c, m in json.load(sys.stdin)]\n"
+PRICE_STDIN = PAIRS + (
+    "import dataclasses\n"
+    "from monthlysum import price_ms\n"
     "out = [price_ms(c, m, correction='quadrature') for c, m in pairs]\n"
     "out += [price_ms(c, m) for c, m in pairs]\n"
     "print(json.dumps([dataclasses.asdict(b) for b in out]))\n"
@@ -436,15 +449,9 @@ PRICE_STDIN = (
 #: makes scipy.special unimportable, then prices each (contract, market)
 #: pair read from stdin at the defaults (the closed route), as
 #: PriceBreakdown dicts, and reports whether the block held
-CLOSED_WITHOUT_SCIPY_SPECIAL = (
-    "import dataclasses, importlib, json, sys\n"
-    "class Refuse:\n"
-    "    def find_spec(self, name, path=None, target=None):\n"
-    "        if name == 'scipy.special' or name.startswith('scipy.special.'):\n"
-    "            raise ModuleNotFoundError(f'{name} is blocked', name=name)\n"
-    "sys.meta_path.insert(0, Refuse())\n"
-    "from monthlysum import ContractSpec, MarketParams, price_ms\n"
-    "pairs = [(ContractSpec(**c), MarketParams(**m)) for c, m in json.load(sys.stdin)]\n"
+CLOSED_WITHOUT_SCIPY_SPECIAL = REFUSE + "refuse('scipy.special')\n" + PAIRS + (
+    "import dataclasses, importlib\n"
+    "from monthlysum import price_ms\n"
     "out = [dataclasses.asdict(price_ms(c, m)) for c, m in pairs]\n"
     "try:\n"
     "    importlib.import_module('scipy.special')\n"
@@ -458,15 +465,9 @@ CLOSED_WITHOUT_SCIPY_SPECIAL = (
 #: makes scipy.integrate unimportable, then prices each (contract, market)
 #: pair read from stdin on the quadrature route and takes its quadrature
 #: moments, as dicts, and reports whether the block held
-QUADRATURE_WITHOUT_SCIPY_INTEGRATE = (
-    "import dataclasses, importlib, json, sys\n"
-    "class Refuse:\n"
-    "    def find_spec(self, name, path=None, target=None):\n"
-    "        if name == 'scipy.integrate' or name.startswith('scipy.integrate.'):\n"
-    "            raise ModuleNotFoundError(f'{name} is blocked', name=name)\n"
-    "sys.meta_path.insert(0, Refuse())\n"
-    "from monthlysum import ContractSpec, MarketParams, price_ms, quadrature_moments\n"
-    "pairs = [(ContractSpec(**c), MarketParams(**m)) for c, m in json.load(sys.stdin)]\n"
+QUADRATURE_WITHOUT_SCIPY_INTEGRATE = REFUSE + "refuse('scipy.integrate')\n" + PAIRS + (
+    "import dataclasses, importlib\n"
+    "from monthlysum import price_ms, quadrature_moments\n"
     "out = [dataclasses.asdict(price_ms(c, m, correction='quadrature')) for c, m in pairs]\n"
     "moments = [dataclasses.asdict(quadrature_moments(m, c)) for c, m in pairs]\n"
     "try:\n"
@@ -482,16 +483,9 @@ QUADRATURE_WITHOUT_SCIPY_INTEGRATE = (
 #: may lay it out elsewhere), then prices each (contract, market) pair read
 #: from stdin on the quadrature route, as PriceBreakdown dicts, and reports
 #: whether the oracle fell back to scipy.integrate's own import
-QUADRATURE_THROUGH_SCIPY_INTEGRATE = (
-    "import dataclasses, json, sys\n"
-    "from importlib.machinery import PathFinder\n"
-    "from monthlysum import ContractSpec, MarketParams, _compiled, _reference, price_ms\n"
-    "class Missing:\n"
-    "    @staticmethod\n"
-    "    def find_spec(name, path):\n"
-    "        return None if name == 'scipy.integrate._quadpack' else PathFinder.find_spec(name, path)\n"
-    "_compiled.PathFinder = Missing\n"
-    "pairs = [(ContractSpec(**c), MarketParams(**m)) for c, m in json.load(sys.stdin)]\n"
+QUADRATURE_THROUGH_SCIPY_INTEGRATE = HIDE + "hide('scipy.integrate._quadpack')\n" + PAIRS + (
+    "import dataclasses\n"
+    "from monthlysum import _reference, price_ms\n"
     "out = [dataclasses.asdict(price_ms(c, m, correction='quadrature')) for c, m in pairs]\n"
     "fell_back = ['scipy.integrate' in sys.modules,\n"
     "             _reference._quadpack() is sys.modules['scipy.integrate._quadpack']]\n"
@@ -567,17 +561,8 @@ class TestExactPins:
     def test_prices_do_not_depend_on_numpys_exp_kernel(self):
         # the same sixteen breakdowns, both routes, bit for bit, with numpy's
         # AVX-512 exp off
-        pairs = [[dataclasses.asdict(c), dataclasses.asdict(m)] for c, m, _ in EXACT_PINS]
-        proc = subprocess.run(
-            [sys.executable, "-c", PRICE_STDIN],
-            input=json.dumps(pairs),
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env=dict(checkout_env(), NPY_DISABLE_CPU_FEATURES=NO_AVX512),
-        )
-        got = [_hexed(b) for b in json.loads(proc.stdout)]
+        out = probe(PRICE_STDIN, stdin=PINS_STDIN, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+        got = [_hexed(b) for b in json.loads(out)]
         want = [price_ms(c, m, correction="quadrature") for c, m, _ in EXACT_PINS]
         want += [price_ms(c, m) for c, m, _ in EXACT_PINS]
         assert got == [_hexed(dataclasses.asdict(b)) for b in want]
@@ -586,17 +571,7 @@ class TestExactPins:
     def test_closed_route_needs_no_scipy_special(self):
         # the same eight closed-route pins, in a process where scipy.special
         # cannot be imported: the normal CDF is a port of scipy's erfc
-        pairs = [[dataclasses.asdict(c), dataclasses.asdict(m)] for c, m, _ in EXACT_PINS]
-        proc = subprocess.run(
-            [sys.executable, "-c", CLOSED_WITHOUT_SCIPY_SPECIAL],
-            input=json.dumps(pairs),
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env=checkout_env(),
-        )
-        got = json.loads(proc.stdout)
+        got = json.loads(probe(CLOSED_WITHOUT_SCIPY_SPECIAL, stdin=PINS_STDIN))
         assert got["blocked"]
         want = [_closed_pin(expected, pin) for (_, _, expected), pin in zip(EXACT_PINS, CLOSED_PINS)]
         assert [_hexed(b) for b in got["breakdowns"]] == [
@@ -606,17 +581,7 @@ class TestExactPins:
     def test_quadrature_route_needs_no_scipy_integrate(self):
         # the eight quadrature-route pins, in a process where scipy.integrate
         # cannot be imported: the oracle calls QUADPACK's compiled qagse itself
-        pairs = [[dataclasses.asdict(c), dataclasses.asdict(m)] for c, m, _ in EXACT_PINS]
-        proc = subprocess.run(
-            [sys.executable, "-c", QUADRATURE_WITHOUT_SCIPY_INTEGRATE],
-            input=json.dumps(pairs),
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env=checkout_env(),
-        )
-        got = json.loads(proc.stdout)
+        got = json.loads(probe(QUADRATURE_WITHOUT_SCIPY_INTEGRATE, stdin=PINS_STDIN))
         assert got["blocked"]
         assert [_hexed(b) for b in got["breakdowns"]] == [
             _hexed(dataclasses.asdict(expected)) for _, _, expected in EXACT_PINS
@@ -628,17 +593,7 @@ class TestExactPins:
     def test_quadrature_route_falls_back_to_scipy_integrate(self):
         # the eight quadrature-route pins, with QUADPACK reached through
         # scipy.integrate's import when its module cannot be loaded directly
-        pairs = [[dataclasses.asdict(c), dataclasses.asdict(m)] for c, m, _ in EXACT_PINS]
-        proc = subprocess.run(
-            [sys.executable, "-c", QUADRATURE_THROUGH_SCIPY_INTEGRATE],
-            input=json.dumps(pairs),
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env=checkout_env(),
-        )
-        got = json.loads(proc.stdout)
+        got = json.loads(probe(QUADRATURE_THROUGH_SCIPY_INTEGRATE, stdin=PINS_STDIN))
         assert got["fell_back"] == [True, True]
         assert [_hexed(b) for b in got["breakdowns"]] == [
             _hexed(dataclasses.asdict(expected)) for _, _, expected in EXACT_PINS
@@ -648,15 +603,7 @@ class TestExactPins:
         # scipy.integrate imported after the oracle ran reuses the extension
         # module the oracle loaded, and its quad gives the oracle's bits on a
         # moment piece and a correction piece
-        proc = subprocess.run(
-            [sys.executable, "-c", QUAD_AFTER_THE_ORACLE],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env=checkout_env(),
-        )
-        got = json.loads(proc.stdout)
+        got = json.loads(probe(QUAD_AFTER_THE_ORACLE))
         assert not got["integrated"]
         assert got["shared"] == [True, True, True]
         for piece in ("moment", "correction"):
@@ -668,15 +615,8 @@ class TestExactPins:
             "from monthlysum import _reference\n"
             "print(_reference._quadpack() is _quadpack_py._quadpack)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", reuse],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env=checkout_env(),
-        )
-        assert proc.stdout.strip().splitlines()[-1] == "True"
+        out = probe(reuse)
+        assert out.strip().splitlines()[-1] == "True"
 
 
 def _correction_integrand(contract, market):

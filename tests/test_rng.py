@@ -13,8 +13,6 @@ import json
 import math
 import os
 import queue
-import subprocess
-import sys
 import threading
 import time
 from pathlib import Path
@@ -26,7 +24,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import philox_reference
-from checkout import NO_AVX512, checkout_env
+from checkout import HIDE, NO_AVX512, REFUSE, probe
 from monthlysum import ContractSpec, MarketParams, McConfig, empirical_cumulants, rng
 from monthlysum.montecarlo import BLOCK
 from monthlysum.rng import STREAM_SHARED, _to_unit_interval, path_normals, philox4x32
@@ -300,17 +298,13 @@ class TestCpuFeatures:
             (3, 2**64 - 2000, 1999, 7, 2**32 - 1),
             (7, 5, 2, 2 * TILE + 3, 2),
         ]
-        proc = subprocess.run(
-            [sys.executable, "-c", FROZEN_STDIN],
-            input=json.dumps(requests),
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
+        out = probe(
+            FROZEN_STDIN,
+            stdin=json.dumps(requests),
             cwd=Path(__file__).resolve().parent,
-            env=dict(checkout_env(), NPY_DISABLE_CPU_FEATURES=NO_AVX512),
+            NPY_DISABLE_CPU_FEATURES=NO_AVX512,
         )
-        same, results, ahead, kstats, sums = json.loads(proc.stdout)
+        same, results, ahead, kstats, sums = json.loads(out)
         assert same == [True] * len(requests)
         # blocks drawn ahead of the one priced, plain and antithetic
         assert ahead == [True, True]
@@ -329,30 +323,22 @@ class TestCpuFeatures:
 
 
 #: Draws after altering how scipy.special loads, as argv[1] names: 'no-package'
-#: makes the scipy.special package unimportable; 'missing:<leaf>' hides one
+#: makes the scipy.special package and its submodules unimportable (the direct
+#: load finds the compiled leaves by path); 'missing:<leaf>' hides one
 #: compiled module from the direct load (as an older scipy lacks it);
 #: 'ufuncs-alone' first loads _ufuncs without its siblings, which imports its
 #: package mid-load; 'import-first' imports scipy.special before any draw.
 #: Prints the sha256 of path_normals' bits for each request read from stdin,
 #: the 10^4-path simulate_ms at 1 and 2 threads, whether the package was
 #: loaded by the draws, and whether a later scipy.special.ndtri is the engine's.
-NDTRI_LOAD = (
+NDTRI_LOAD = REFUSE + HIDE + (
     "import hashlib, importlib, json, sys\n"
-    "from importlib.machinery import PathFinder\n"
     "from monthlysum import ContractSpec, MarketParams, McConfig, _compiled, rng, simulate_ms\n"
     "how = sys.argv[1]\n"
     "if how == 'no-package':\n"
-    "    class Refuse:\n"
-    "        def find_spec(self, name, path=None, target=None):\n"
-    "            if name == 'scipy.special':\n"
-    "                raise ModuleNotFoundError(f'{name} is blocked', name=name)\n"
-    "    sys.meta_path.insert(0, Refuse())\n"
+    "    refuse('scipy.special')\n"
     "elif how.startswith('missing:'):\n"
-    "    class Missing:\n"
-    "        @staticmethod\n"
-    "        def find_spec(name, path):\n"
-    "            return None if name == 'scipy.special.' + how[8:] else PathFinder.find_spec(name, path)\n"
-    "    _compiled.PathFinder = Missing\n"
+    "    hide('scipy.special.' + how[8:])\n"
     "elif how == 'ufuncs-alone':\n"
     "    _compiled._load('special', ('_ufuncs',))\n"
     "elif how == 'import-first':\n"
@@ -379,16 +365,7 @@ class TestNdtriLoad:
     REQUESTS = [(42, 0, 5000, 13, 0), (7, 5, 2, 2 * TILE + 3, 2)]
 
     def _draw(self, how):
-        proc = subprocess.run(
-            [sys.executable, "-c", NDTRI_LOAD, how],
-            input=json.dumps(self.REQUESTS),
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env=checkout_env(),
-        )
-        got = json.loads(proc.stdout)
+        got = json.loads(probe(NDTRI_LOAD, how, stdin=json.dumps(self.REQUESTS)))
         want = [
             hashlib.sha256(philox_reference.path_normals(*r).tobytes()).hexdigest()
             for r in self.REQUESTS
@@ -420,7 +397,7 @@ class TestNdtriLoad:
     def test_racing_first_draws_load_each_module_once(self):
         # six callers ask for ndtri together, before their first draws; a compiled
         # module executed twice at once raises, which shows as an error or a fallback
-        probe = (
+        source = (
             "import importlib.util, sys, threading, time\n"
             "import numpy as np\n"
             "from monthlysum import rng\n"
@@ -447,15 +424,8 @@ class TestNdtriLoad:
             "]\n"
             "print(errors, sum(same), 'scipy.special' in sys.modules)\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env=checkout_env(),
-        )
-        assert out.stdout.strip().splitlines()[-1] == "[] 6 False"
+        out = probe(source)
+        assert out.strip().splitlines()[-1] == "[] 6 False"
 
     def test_a_leaf_that_imports_its_package_falls_back(self):
         # _ufuncs without its siblings imports scipy.special mid-load, whose
@@ -670,7 +640,7 @@ class TestHelper:
     def test_callers_racing_to_start_the_helper_share_one(self):
         # six callers reach the first threads=2 draw together, with the
         # interpreter switching threads as often as it can
-        probe = (
+        source = (
             "import sys, threading\n"
             "import numpy as np\n"
             "from monthlysum.rng import _blocks, path_normals\n"
@@ -687,12 +657,5 @@ class TestHelper:
             "helpers = [t for t in threading.enumerate() if t.name == 'monthlysum-ndtri']\n"
             "print(len(helpers), sum(same), any(caller.is_alive() for caller in callers))\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env=checkout_env(),
-        )
-        assert out.stdout.strip().splitlines()[-1] == "1 6 False"
+        out = probe(source)
+        assert out.strip().splitlines()[-1] == "1 6 False"
