@@ -53,7 +53,7 @@ def bs_call(
     except OverflowError:
         raise OverflowError(
             f"exp(-div_yield * term) overflows at exponent {-div_yield * term!r}: "
-            "the log-return proxy's price is past the double range"
+            "the closed form cannot evaluate this price in double precision"
         ) from None
     return spot * carry * standard_normal_cdf(d1) - strike * math.exp(
         -rate * term
@@ -95,7 +95,7 @@ def ms_correction_closed(
     except OverflowError:
         raise OverflowError(
             f"exp((nu + v^2/2) T) overflows at exponent {(nu + 0.5 * v * v) * t!r}: "
-            "the log-return proxy's price is past the double range"
+            "the closed form cannot evaluate this price in double precision"
         ) from None
     j = (
         t * (v * v - nu) * math.exp(exponent) / math.sqrt(2.0 * math.pi)

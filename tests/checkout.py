@@ -1,4 +1,6 @@
-"""Fresh interpreters that run this checkout's code, and source snippets for their probes."""
+"""What two or more test files share: the default inputs, the benchmark's quote
+ranges, a Monte Carlo pin, and fresh interpreters that run this checkout's code,
+with source snippets for their probes."""
 
 from __future__ import annotations
 
@@ -7,7 +9,38 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import strategies as st
+
+from monthlysum import ContractSpec, MarketParams, McResult
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: The CLI's default market and contract, and that contract with a floor.
+MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
+CAP_ONLY = ContractSpec(cap=0.025)
+CAP_FLOOR = ContractSpec(cap=0.025, floor=-0.05)
+
+#: ``simulate_ms(CAP_ONLY, MARKET, McConfig(paths=10_000, seed=42))``, bit for
+#: bit: two full engine blocks and a partial third.
+MS_PIN = McResult(0.008112822472706211, 0.00026454484491526137, 10_000)
+
+#: The benchmark's quote ranges (perfbench's ``quote`` workload), as
+#: Hypothesis strategies: contracts, and markets with ``term`` replaceable.
+CONTRACTS = st.builds(
+    ContractSpec, cap=st.floats(0.005, 0.10), floor=st.one_of(st.none(), st.floats(-0.10, 0.0))
+)
+
+
+def markets(term=st.floats(1.0, 10.0)):
+    return st.builds(
+        MarketParams,
+        rate=st.floats(0.0, 0.06),
+        dividend_yield=st.floats(0.0, 0.03),
+        sigma=st.floats(0.05, 0.5),
+        term=term,
+        periods=st.sampled_from((4, 12, 52, 252)),
+    )
+
 
 #: numpy's AVX-512 kernels, for NPY_DISABLE_CPU_FEATURES to switch off;
 #: naming one the CPU lacks is accepted.

@@ -50,10 +50,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_subprocess(*argv, **kwargs):
-    return python("-m", "monthlysum", *argv, **kwargs)
-
-
 class TestPrice:
     def test_json_record(self, capsys):
         code, out, _ = run_cli(capsys, "price")
@@ -258,9 +254,9 @@ class TestSweep:
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-        proc = run_subprocess(
-            "sweep", "--axis", "cap", "--from", "0.001", "--to", "0.1", "--step", step,
-            preexec_fn=cap_memory,
+        proc = python(
+            "-m", "monthlysum", "sweep", "--axis", "cap", "--from", "0.001", "--to", "0.1",
+            "--step", step, preexec_fn=cap_memory,
         )
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert b"more than 1000000 values" in proc.stderr
@@ -540,7 +536,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "price", *argv)
         assert (code, out) == (3, "")
         assert "numerical failure: exp(-div_yield * term) overflows at exponent 4884.5" in err
-        assert "the log-return proxy's price is past the double range" in err
+        assert "the closed form cannot evaluate this price in double precision" in err
 
     def test_numerical_failure_is_three(self, capsys, monkeypatch):
         import monthlysum.cli as cli
@@ -596,8 +592,8 @@ class TestDiagnostics:
 
 class TestByteStability:
     def test_repeat_run_is_byte_identical(self):
-        a = run_subprocess("price", "--format", "csv")
-        b = run_subprocess("price", "--format", "csv")
+        a = python("-m", "monthlysum", "price", "--format", "csv")
+        b = python("-m", "monthlysum", "price", "--format", "csv")
         assert a.returncode == 0, a.stderr.decode()
         assert a.stdout
         assert a.stdout == b.stdout

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from monthlysum import (
-    ContractSpec,
     CumulantSet,
     MarketParams,
     MomentSet,
@@ -17,8 +16,7 @@ from monthlysum import (
     cumulants_from_moments,
 )
 
-MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
-CAP_ONLY = ContractSpec(cap=0.025)
+from checkout import CAP_ONLY, MARKET
 
 
 def default_params():

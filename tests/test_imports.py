@@ -146,14 +146,29 @@ def test_closed_form_leaves_scipy_special_unloaded_until_a_draw():
     assert out.strip().splitlines()[-1] == "[[False, False], [False, True]]"
 
 
-def _imported_modules(path: Path) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def _imports(tree: ast.AST):
+    """(node, module, name, local) per name an import binds.
+
+    A relative import reads as monthlysum's: ``from .x import y`` gives module
+    ``monthlysum.x``, ``from . import x`` gives ``monthlysum`` and name ``x``.
+    ``name`` is None for ``import``. ``local`` is the name the import binds,
+    or the dotted module for an unaliased ``import a.b``, which no call's
+    plain name matches.
+    """
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            names.add(node.module)
-    return names
+            for alias in node.names:
+                yield node, alias.name, None, alias.asname or alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                module = "monthlysum" + (f".{module}" if module else "")
+            for alias in node.names:
+                yield node, module, alias.name, alias.asname or alias.name
+
+
+def _imported_modules(path: Path) -> set[str]:
+    return {module for _, module, _, _ in _imports(ast.parse(path.read_text(encoding="utf-8")))}
 
 
 def test_only_rng_starts_a_thread():
@@ -181,14 +196,12 @@ def test_only_rng_starts_a_thread():
 def test_montecarlo_takes_only_the_walk_from_rng():
     # rng owns the draw schedule (helper, look-ahead, split, scratch roles): montecarlo
     # reads blocks from its one walk and borrows a scratch array for its returns
-    names = []
-    for node in ast.walk(ast.parse((SRC / "monthlysum" / "montecarlo.py").read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (("rng", 1), ("monthlysum.rng", 0)):
-            names += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module in (None, "monthlysum"):
-            names += [alias.name for alias in node.names if alias.name == "rng"]
-        elif isinstance(node, ast.Import):
-            names += [alias.name for alias in node.names if alias.name == "monthlysum.rng"]
+    tree = ast.parse((SRC / "monthlysum" / "montecarlo.py").read_text(encoding="utf-8"))
+    names = [
+        name or module
+        for _, module, name, _ in _imports(tree)
+        if module == "monthlysum.rng" or (module, name) == ("monthlysum", "rng")
+    ]
     assert sorted(names) == ["BLOCK", "_blocks", "_scratch_array"]
 
 
@@ -241,18 +254,11 @@ def _sibling_imports(tree: ast.AST):
     The module is ``x`` for ``from .x``, ``from . import x``,
     ``from monthlysum.x`` and ``import monthlysum.x``.
     """
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            if node.module:
-                yield node, node.module.split(".")[0]
-            else:
-                yield from ((node, alias.name) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("monthlysum."):
-            yield node, node.module.split(".")[1]
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("monthlysum."):
-                    yield node, alias.name.split(".")[1]
+    for node, module, name, _ in _imports(tree):
+        if module.startswith("monthlysum."):
+            yield node, module.split(".")[1]
+        elif module == "monthlysum" and node.level:
+            yield node, name
 
 
 def _package_sources() -> dict[str, ast.AST]:
@@ -307,23 +313,10 @@ def test_only_contracts_holds_the_integer_rule():
 
 
 def _package_imports(tree: ast.AST):
-    """(module, name, local) per name a file imports from monthlysum.
-
-    ``name`` is None for ``import``. ``local`` is the name the import binds,
-    or the dotted module for an unaliased ``import monthlysum.x``, which no
-    call's plain name matches.
-    """
-    def ours(module: str) -> bool:
-        return module == "monthlysum" or module.startswith("monthlysum.")
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if ours(alias.name):
-                    yield alias.name, None, alias.asname or alias.name
-        elif isinstance(node, ast.ImportFrom) and not node.level and ours(node.module or ""):
-            for alias in node.names:
-                yield node.module, alias.name, alias.asname or alias.name
+    """(module, name, local) per name a file imports from monthlysum (see :func:`_imports`)."""
+    for _, module, name, local in _imports(tree):
+        if module == "monthlysum" or module.startswith("monthlysum."):
+            yield module, name, local
 
 
 def _imported(module: str, name: str | None):

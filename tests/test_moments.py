@@ -41,9 +41,8 @@ from monthlysum.moments import (
 )
 from monthlysum.validation import validate_point
 
-MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
-CAP_ONLY = ContractSpec(cap=0.025)
-CAP_FLOOR = ContractSpec(cap=0.025, floor=-0.05)
+from checkout import CAP_FLOOR, CAP_ONLY, CONTRACTS, MARKET, markets
+
 GRID_POINT = GridPoint(sigma=0.20, cap=0.025, floor=-0.05, rate=0.03, div_yield=0.02)
 
 # frozen from the independent Gauss-Legendre oracle
@@ -264,18 +263,8 @@ class TestMomentIntegrands:
     # each must still be its formula bit for bit, at both ends of its range
     # and between them
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        cap=st.floats(0.005, 0.10),
-        floor=st.one_of(st.none(), st.floats(-0.10, 0.0)),
-        sigma=st.floats(0.05, 0.5),
-        rate=st.floats(0.0, 0.06),
-        div=st.floats(0.0, 0.03),
-        periods=st.sampled_from((4, 12, 52, 252)),
-        where=st.floats(0.0, 1.0),
-    )
-    def test_match_their_formula_bit_for_bit(self, cap, floor, sigma, rate, div, periods, where):
-        contract = ContractSpec(cap=cap, floor=floor)
-        market = MarketParams(rate=rate, dividend_yield=div, sigma=sigma, term=1.0, periods=periods)
+    @given(contract=CONTRACTS, market=markets(term=st.just(1.0)), where=st.floats(0.0, 1.0))
+    def test_match_their_formula_bit_for_bit(self, contract, market, where):
         captured = []
 
         def capture(fn, lo, hi, interior):
@@ -297,24 +286,9 @@ class TestMomentIntegrands:
 
 class TestOnePass:
     @settings(max_examples=200, deadline=None)
-    @given(
-        cap=st.floats(0.005, 0.10),
-        floor=st.one_of(st.none(), st.floats(-0.10, 0.0)),
-        sigma=st.floats(0.05, 0.5),
-        rate=st.floats(0.0, 0.06),
-        div=st.floats(0.0, 0.03),
-        term=st.floats(1.0, 10.0),
-        periods=st.sampled_from((4, 12, 52, 252)),
-        variant=st.sampled_from(("corrected", PRINTED)),
-    )
-    def test_bundle_equals_each_order_exactly(
-        self, cap, floor, sigma, rate, div, term, periods, variant
-    ):
-        market = MarketParams(
-            rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
-        )
-        contract = ContractSpec(cap=cap, floor=floor)
-        fn = capped_moment_closed if floor is None else capped_floored_moment_closed
+    @given(contract=CONTRACTS, market=markets(), variant=st.sampled_from(("corrected", PRINTED)))
+    def test_bundle_equals_each_order_exactly(self, contract, market, variant):
+        fn = capped_moment_closed if contract.floor is None else capped_floored_moment_closed
         orders = tuple(fn(n, market, contract, variant) for n in (1, 2, 3))
         if variant == PRINTED:
             # the printed forms can imply a nonpositive variance, so no MomentSet

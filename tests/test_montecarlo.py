@@ -34,8 +34,7 @@ from monthlysum.cli import main
 from monthlysum.montecarlo import _PAIR, BLOCK, _pairwise_rows, _run
 from monthlysum.rng import STREAM_SHARED, path_normals
 
-MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
-CAP_ONLY = ContractSpec(cap=0.025)
+from checkout import CAP_FLOOR, CAP_ONLY, MARKET, MS_PIN
 
 
 def _count_path_normals(monkeypatch) -> list[int]:
@@ -82,7 +81,7 @@ class TestExactPins:
     @pytest.mark.parametrize(
         "fn, antithetic, expected",
         (
-            (simulate_ms, False, McResult(0.008112822472706211, 0.00026454484491526137, 10_000)),
+            (simulate_ms, False, MS_PIN),
             (simulate_ms, True, McResult(0.008351432944579004, 0.0002526638865244965, 10_000)),
             (simulate_msln, False, McResult(0.007818284064624256, 0.0002704334834590667, 10_000)),
             (simulate_msln, True, McResult(0.008040920575523663, 0.000259466380853045, 10_000)),
@@ -259,7 +258,7 @@ class TestAntithetic:
         # 4 paths, the fewest pairing accepts
         for paths in (4, 8, 2 * BLOCK + 38):
             cfg = McConfig(paths=paths, seed=3, antithetic=True)
-            for contract in (CAP_ONLY, ContractSpec(cap=0.025, floor=-0.05)):
+            for contract in (CAP_ONLY, CAP_FLOOR):
                 for simulate, log_payoff in ((simulate_ms, False), (simulate_msln, True)):
                     expected = _antithetic_reference(contract, MARKET, paths, 3, log_payoff)
                     got = simulate(contract, MARKET, cfg)
@@ -431,7 +430,7 @@ class TestEmpiricalCumulants:
     def test_k_statistics_match_scipy_bit_for_bit(self):
         from scipy import stats
 
-        contract = ContractSpec(cap=0.025, floor=-0.05)
+        contract = CAP_FLOOR
         cfg = McConfig(paths=10_000, seed=5)
         z = path_normals(cfg.seed, 0, cfg.paths, MARKET.periods, STREAM_SHARED)
         x = MARKET.mu * MARKET.dt + MARKET.sigma * np.sqrt(MARKET.dt) * z

@@ -36,11 +36,9 @@ from monthlysum.pricer import PriceBreakdown
 from monthlysum.moments import PRINTED, closed_form_moments, standard_normal_pdf
 from monthlysum.validation import CORRECTION_REL_TOL, REL_DENOM_FLOOR
 
-from checkout import HIDE, NO_AVX512, PAIRS, REFUSE, probe
+from checkout import CAP_FLOOR, CAP_ONLY, CONTRACTS, HIDE, MARKET, NO_AVX512, PAIRS, REFUSE
+from checkout import markets, probe
 from convolution_oracle import STEP, exact_prices
-
-MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
-CAP_ONLY = ContractSpec(cap=0.025)
 
 GOLDEN_MS0 = 0.010350588623120022
 GOLDEN_MS1 = -0.0020028064570901563
@@ -155,7 +153,7 @@ class TestCorrectionTerm:
         with pytest.raises(OverflowError) as info:
             price_ms(contract, market)
         assert "exp((nu + v^2/2) T) overflows at exponent 710.5" in str(info.value)
-        assert "the log-return proxy's price is past the double range" in str(info.value)
+        assert "the closed form cannot evaluate this price in double precision" in str(info.value)
 
 
 class TestPriceMs:
@@ -180,22 +178,8 @@ class TestPriceMs:
 
     # the benchmark's quote ranges: longer terms and every period count
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        cap=st.floats(0.005, 0.10),
-        floor=st.one_of(st.none(), st.floats(-0.10, 0.0)),
-        sigma=st.floats(0.05, 0.5),
-        rate=st.floats(0.0, 0.06),
-        div=st.floats(0.0, 0.03),
-        term=st.floats(1.0, 10.0),
-        periods=st.sampled_from((4, 12, 52, 252)),
-    )
-    def test_correction_routes_agree_over_quote_ranges(
-        self, cap, floor, sigma, rate, div, term, periods
-    ):
-        contract = ContractSpec(cap=cap, floor=floor)
-        market = MarketParams(
-            rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
-        )
+    @given(contract=CONTRACTS, market=markets())
+    def test_correction_routes_agree_over_quote_ranges(self, contract, market):
         quad = price_ms(contract, market, correction="quadrature").ms1
         closed = price_ms(contract, market, correction="closed").ms1
         # measured as the validation suite measures it, with its floor under |quad|
@@ -205,52 +189,29 @@ class TestPriceMs:
     # double precision, so the expansion collapses to Black-Scholes; over
     # the quote ranges of sigma, term, periods and carry
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        sigma=st.floats(0.05, 0.5),
-        rate=st.floats(0.0, 0.06),
-        div=st.floats(0.0, 0.03),
-        term=st.floats(1.0, 10.0),
-        periods=st.sampled_from((4, 12, 52, 252)),
-    )
-    def test_wide_cap_reduces_to_black_scholes_over_quote_ranges(
-        self, sigma, rate, div, term, periods
-    ):
-        market = MarketParams(
-            rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
-        )
-        cap = math.expm1(market.mu * market.dt + 40.0 * sigma * math.sqrt(market.dt))
+    @given(market=markets())
+    def test_wide_cap_reduces_to_black_scholes_over_quote_ranges(self, market):
+        cap = math.expm1(market.mu * market.dt + 40.0 * market.sigma * math.sqrt(market.dt))
         got = price_ms(ContractSpec(cap=cap), market).total
-        want = bs_call(1.0, 1.0, sigma, rate, div, term)
+        want = bs_call(1.0, 1.0, market.sigma, market.rate, market.dividend_yield, market.term)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     # the quote ranges again, kept to where the correction is small on both
     # quotes, |ms1| <= 0.1 |ms0|: outside that a higher cap can price lower
     # (in every such case seen, one of the two totals was nonpositive)
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        cap=st.floats(0.005, 0.10),
-        floor=st.one_of(st.none(), st.floats(-0.10, 0.0)),
-        sigma=st.floats(0.05, 0.5),
-        rate=st.floats(0.0, 0.06),
-        div=st.floats(0.0, 0.03),
-        term=st.floats(1.0, 10.0),
-        periods=st.sampled_from((4, 12, 52, 252)),
-        delta=st.floats(0.001, 0.2),
-    )
+    @given(contract=CONTRACTS, market=markets(), delta=st.floats(0.001, 0.2))
     def test_price_nondecreasing_in_the_cap_where_the_correction_is_small(
-        self, cap, floor, sigma, rate, div, term, periods, delta
+        self, contract, market, delta
     ):
-        market = MarketParams(
-            rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
-        )
-        low = price_ms(ContractSpec(cap=cap, floor=floor), market)
-        high = price_ms(ContractSpec(cap=cap * (1.0 + delta), floor=floor), market)
+        low = price_ms(contract, market)
+        high = price_ms(dataclasses.replace(contract, cap=contract.cap * (1.0 + delta)), market)
         assume(all(abs(quote.ms1) <= 0.1 * abs(quote.ms0) for quote in (low, high)))
         assert high.total >= low.total - 1e-13 * abs(low.total)
 
     def test_moment_routes_agree(self):
         # the quadrature moments reach the aggregate law by composing the stages
-        for contract in (CAP_ONLY, ContractSpec(cap=0.025, floor=-0.05)):
+        for contract in (CAP_ONLY, CAP_FLOOR):
             quad = aggregate(cumulants_from_moments(quadrature_moments(MARKET, contract)), MARKET)
             closed = edgeworth_params(contract, MARKET)
             for field in ("nu", "v", "epsilon1"):
@@ -292,7 +253,7 @@ class TestPriceMs:
         assert (out.ms0, out.ms1, out.total, out.params) == (0.0, 0.0, 0.0, None)
 
     def test_floored_contract_prices_above_unfloored(self):
-        floored = price_ms(ContractSpec(cap=0.025, floor=-0.05), MARKET)
+        floored = price_ms(CAP_FLOOR, MARKET)
         unfloored = price_ms(CAP_ONLY, MARKET)
         assert floored.total > unfloored.total
 
@@ -330,7 +291,7 @@ EXACT_PINS = (
         ),
     ),
     (
-        ContractSpec(cap=0.025, floor=-0.05),
+        CAP_FLOOR,
         MARKET,
         _breakdown(
             0.01251805056627353, -0.0004121130792107777, 0.012105937487062754,
@@ -640,23 +601,9 @@ class TestCorrectionIntegrand:
     # it writes the density inline, and this holds it to standard_normal_pdf
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        cap=st.floats(0.005, 0.10),
-        floor=st.one_of(st.none(), st.floats(-0.10, 0.0)),
-        sigma=st.floats(0.05, 0.5),
-        rate=st.floats(0.0, 0.06),
-        div=st.floats(0.0, 0.03),
-        term=st.floats(1.0, 10.0),
-        periods=st.sampled_from((4, 12, 52, 252)),
-        where=st.floats(0.0, 1.0),
-        tail=st.floats(37.0, 40.0),
+        contract=CONTRACTS, market=markets(), where=st.floats(0.0, 1.0), tail=st.floats(37.0, 40.0)
     )
-    def test_matches_its_formula_bit_for_bit(
-        self, cap, floor, sigma, rate, div, term, periods, where, tail
-    ):
-        contract = ContractSpec(cap=cap, floor=floor)
-        market = MarketParams(
-            rate=rate, dividend_yield=div, sigma=sigma, term=term, periods=periods
-        )
+    def test_matches_its_formula_bit_for_bit(self, contract, market, where, tail):
         ep = edgeworth_params(contract, market)
         a = ep.nu * ep.term
         b = ep.v * math.sqrt(ep.term)
@@ -673,7 +620,7 @@ class TestScalarWork:
     # points; a float through the normal helpers must build no array on top
     # of that work (wrapping each float in a 0-d array cost 169 + 4 and
     # 170 + 5 np.asarray/np.ndim calls here)
-    @pytest.mark.parametrize("contract", (CAP_ONLY, ContractSpec(cap=0.025, floor=-0.05)))
+    @pytest.mark.parametrize("contract", (CAP_ONLY, CAP_FLOOR))
     def test_no_array_conversions_and_same_quadrature_work(self, monkeypatch, contract):
         counts = {"asarray": 0, "ndim": 0, "integrand": 0}
 

@@ -8,6 +8,7 @@ the tiled generator must reproduce its every bit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -15,7 +16,6 @@ import os
 import queue
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import philox_reference
-from checkout import HIDE, NO_AVX512, REFUSE, probe
-from monthlysum import ContractSpec, MarketParams, McConfig, empirical_cumulants, rng
+from checkout import CAP_ONLY, HIDE, MS_PIN, NO_AVX512, REFUSE, probe
+from monthlysum import MarketParams, McConfig, empirical_cumulants, rng
 from monthlysum.montecarlo import BLOCK
 from monthlysum.rng import STREAM_SHARED, _to_unit_interval, path_normals, philox4x32
 
@@ -239,39 +239,58 @@ class TestFrozenReference:
         np.testing.assert_array_equal(got.sum(axis=1).view(np.uint64), want.sum(axis=1).view(np.uint64))
 
 
-#: Checks path_normals against the frozen reference on the requests read from
-#: stdin, then prints those results, one multi-block McResult at 1 and at 2
-#: threads, whether 3 blocks and a partial one, plain and antithetic, price the
-#: same at 2 threads (blocks drawn ahead) as at 1, seed 7's k-statistics
-#: (KSTAT_MARKET), and whether the engine's row sums equal numpy's at five
-#: period counts.
-FROZEN_STDIN = (
-    "import json, sys\n"
+#: Reads path_normals requests from stdin and sets ``draws``: the sha256 of
+#: the engine's bits for each request (``digests``), and MS_PIN's simulate_ms at
+#: 1 and at 2 threads (``mc``), whose inputs it leaves in ``contract`` and ``market``.
+DRAWS = (
+    "import hashlib, json, sys\n"
+    "from monthlysum import ContractSpec, MarketParams, McConfig, rng, simulate_ms\n"
+    "contract = ContractSpec(cap=0.025)\n"
+    "market = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)\n"
+    "digests = [\n"
+    "    hashlib.sha256(rng.path_normals(*r).tobytes()).hexdigest() for r in json.load(sys.stdin)\n"
+    "]\n"
+    "mc = [simulate_ms(contract, market, McConfig(paths=10_000, seed=42), t) for t in (1, 2)]\n"
+    "draws = {'digests': digests, 'mc': [[r.mean.hex(), r.stderr.hex()] for r in mc]}\n"
+)
+
+
+@functools.cache
+def reference_digest(request):
+    """The sha256 of the frozen reference's bits for one request, drawn once a session.
+
+    The reference takes exact uint64 products, converts integers below 2^52 to
+    doubles exactly and runs scipy's ndtri, none of which numpy's CPU dispatch
+    reaches, so one digest serves every kernel set.
+    """
+    return hashlib.sha256(philox_reference.path_normals(*request).tobytes()).hexdigest()
+
+
+def check_draws(draws, requests):
+    """A DRAWS child's results reproduce the frozen reference and MS_PIN."""
+    assert draws["digests"] == [reference_digest(request) for request in requests]
+    # tests/test_montecarlo.py::TestExactPins' 12-period simulate_ms pin, three blocks
+    for mean, stderr in draws["mc"]:
+        assert (float.fromhex(mean), float.fromhex(stderr)) == (MS_PIN.mean, MS_PIN.stderr)
+
+
+#: DRAWS, then prints ``draws``, whether 3 blocks and a partial one, plain and
+#: antithetic, price the same at 2 threads (blocks drawn ahead) as at 1, seed
+#: 7's k-statistics (KSTAT_MARKET), and whether the engine's row sums equal
+#: numpy's at five period counts.
+FROZEN_STDIN = DRAWS + (
     "import numpy as np\n"
-    "import philox_reference\n"
-    "from monthlysum import ContractSpec, MarketParams, McConfig, simulate_ms\n"
     "from monthlysum import empirical_cumulants\n"
     "from monthlysum.montecarlo import _pairwise_rows\n"
-    "from monthlysum.rng import path_normals\n"
     "KSTAT_MARKET = MarketParams(0.03, 0.02, 0.05, 1.0, 12)\n"
     "bits = lambda z: z.view(np.uint64)\n"
-    "same = [\n"
-    "    np.array_equal(bits(path_normals(*r)), bits(philox_reference.path_normals(*r)))\n"
-    "    for r in json.load(sys.stdin)\n"
-    "]\n"
-    "market = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)\n"
-    "res = [\n"
-    "    simulate_ms(ContractSpec(cap=0.025), market, McConfig(paths=10_000, seed=42), threads)\n"
-    "    for threads in (1, 2)\n"
-    "]\n"
     "rows = 3 * 4096 + 37\n"
     "ahead = [\n"
-    "    simulate_ms(ContractSpec(cap=0.025), market, cfg, 2)\n"
-    "    == simulate_ms(ContractSpec(cap=0.025), market, cfg, 1)\n"
+    "    simulate_ms(contract, market, cfg, 2) == simulate_ms(contract, market, cfg, 1)\n"
     "    for cfg in (McConfig(rows, seed=3), McConfig(2 * rows, seed=3, antithetic=True))\n"
     "]\n"
     "cfg = McConfig(paths=16_384, seed=7)\n"
-    "k = empirical_cumulants(ContractSpec(cap=0.025), KSTAT_MARKET, cfg)\n"
+    "k = empirical_cumulants(contract, KSTAT_MARKET, cfg)\n"
     "kstats = [k.iota1.hex(), k.iota2.hex(), k.iota3.hex()]\n"
     "g = np.random.default_rng(5)\n"
     "x = g.standard_normal((3000, 257)) * 10.0 ** g.uniform(-30, 30, (3000, 257))\n"
@@ -280,7 +299,7 @@ FROZEN_STDIN = (
     "    np.array_equal(bits(_pairwise_rows(x[:, :n].T.copy())), bits(x[:, :n].sum(axis=1)))\n"
     "    for n in (7, 12, 60, 129, 257)\n"
     "]\n"
-    "print(json.dumps([same, [[r.mean.hex(), r.stderr.hex()] for r in res], ahead, kstats, sums]))\n"
+    "print(json.dumps([draws, ahead, kstats, sums]))\n"
 )
 
 #: Seed 7's k-statistics at this sigma moved in their last bits with numpy's
@@ -298,27 +317,16 @@ class TestCpuFeatures:
             (3, 2**64 - 2000, 1999, 7, 2**32 - 1),
             (7, 5, 2, 2 * TILE + 3, 2),
         ]
-        out = probe(
-            FROZEN_STDIN,
-            stdin=json.dumps(requests),
-            cwd=Path(__file__).resolve().parent,
-            NPY_DISABLE_CPU_FEATURES=NO_AVX512,
-        )
-        same, results, ahead, kstats, sums = json.loads(out)
-        assert same == [True] * len(requests)
+        out = probe(FROZEN_STDIN, stdin=json.dumps(requests), NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+        draws, ahead, kstats, sums = json.loads(out)
+        check_draws(draws, requests)
         # blocks drawn ahead of the one priced, plain and antithetic
         assert ahead == [True, True]
         # numpy's pairwise row sum, replayed on whole rows, on the same kernel set
         assert sums == [True] * 5
-        # tests/test_montecarlo.py::TestExactPins' 12-period simulate_ms pin, at 1 and 2 threads
-        for mean, stderr in results:
-            assert (float.fromhex(mean), float.fromhex(stderr)) == (
-                0.008112822472706211,
-                0.00026454484491526137,
-            )
         # the power sums are products, the same on either kernel set
         cfg = McConfig(paths=16_384, seed=7)
-        here = empirical_cumulants(ContractSpec(cap=0.025), KSTAT_MARKET, cfg)
+        here = empirical_cumulants(CAP_ONLY, KSTAT_MARKET, cfg)
         assert [float.fromhex(k) for k in kstats] == [here.iota1, here.iota2, here.iota3]
 
 
@@ -328,12 +336,10 @@ class TestCpuFeatures:
 #: compiled module from the direct load (as an older scipy lacks it);
 #: 'ufuncs-alone' first loads _ufuncs without its siblings, which imports its
 #: package mid-load; 'import-first' imports scipy.special before any draw.
-#: Prints the sha256 of path_normals' bits for each request read from stdin,
-#: the 10^4-path simulate_ms at 1 and 2 threads, whether the package was
-#: loaded by the draws, and whether a later scipy.special.ndtri is the engine's.
+#: Then runs DRAWS and prints ``draws`` with whether the package was loaded by
+#: the draws, and whether a later scipy.special.ndtri is the engine's.
 NDTRI_LOAD = REFUSE + HIDE + (
-    "import hashlib, importlib, json, sys\n"
-    "from monthlysum import ContractSpec, MarketParams, McConfig, _compiled, rng, simulate_ms\n"
+    "import importlib, sys\n"
     "how = sys.argv[1]\n"
     "if how == 'no-package':\n"
     "    refuse('scipy.special')\n"
@@ -343,21 +349,13 @@ NDTRI_LOAD = REFUSE + HIDE + (
     "    _compiled._load('special', ('_ufuncs',))\n"
     "elif how == 'import-first':\n"
     "    import scipy.special\n"
-    "digests = [\n"
-    "    hashlib.sha256(rng.path_normals(*r).tobytes()).hexdigest() for r in json.load(sys.stdin)\n"
-    "]\n"
-    "market = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)\n"
-    "res = [\n"
-    "    simulate_ms(ContractSpec(cap=0.025), market, McConfig(paths=10_000, seed=42), threads)\n"
-    "    for threads in (1, 2)\n"
-    "]\n"
+) + DRAWS + (
     "package = 'scipy.special' in sys.modules\n"
     "try:\n"
     "    shared = importlib.import_module('scipy.special').ndtri is rng._ndtri()\n"
     "except ModuleNotFoundError:\n"
     "    shared = None\n"
-    "print(json.dumps({'digests': digests, 'mc': [[r.mean.hex(), r.stderr.hex()] for r in res],\n"
-    "                  'package': package, 'shared': shared}))\n"
+    "print(json.dumps({**draws, 'package': package, 'shared': shared}))\n"
 )
 
 
@@ -366,17 +364,7 @@ class TestNdtriLoad:
 
     def _draw(self, how):
         got = json.loads(probe(NDTRI_LOAD, how, stdin=json.dumps(self.REQUESTS)))
-        want = [
-            hashlib.sha256(philox_reference.path_normals(*r).tobytes()).hexdigest()
-            for r in self.REQUESTS
-        ]
-        assert got["digests"] == want
-        # tests/test_montecarlo.py::TestExactPins' 12-period simulate_ms pin, three blocks
-        for mean, stderr in got["mc"]:
-            assert (float.fromhex(mean), float.fromhex(stderr)) == (
-                0.008112822472706211,
-                0.00026454484491526137,
-            )
+        check_draws(got, self.REQUESTS)
         return got["package"], got["shared"]
 
     def test_draws_need_no_scipy_special_package(self):
