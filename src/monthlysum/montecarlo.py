@@ -162,7 +162,8 @@ def _run(
     keep its payoffs within :data:`_PASS_VALUES`. A pass draws each block once,
     at the widest period count among its rows, and each row reads its leading
     ``periods`` rows of it: a path's normals do not depend on how many are drawn.
-    Only the last (signed leg, row) of a pass works on the block in place.
+    Only the last (signed leg, row) of a pass works on the block in place. Once the
+    walk ends, the reductions work in the payoffs and allocate nothing beside them.
     """
     _require_integer("threads", threads, 1)
     signs = (1.0, -1.0) if cfg.antithetic else (1.0,)
@@ -184,17 +185,22 @@ def _run(
                         np.expm1(sums, out=sums)
                     np.maximum(sums, 0.0, out=payoffs[r, i, start:stop])
 
-        samples = 0.5 * (payoffs[:, 0::2] + payoffs[:, 1::2]) if cfg.antithetic else payoffs
+        samples = payoffs[:, :: len(signs)]  # an antithetic pair averages into its first leg
+        if cfg.antithetic:
+            samples += payoffs[:, 1::2]
+            samples *= 0.5
         n = samples.shape[-1]
         for (_, market), row in zip(chunk, samples):
             discount = math.exp(-market.rate * market.term)
             stats = []
-            for leg in row:  # mean() and std(ddof=1) in numpy's own steps, one sum each
+            for leg in row:  # mean() and std(ddof=1) in numpy's own steps, one sum each, in the leg
                 mean = np.add.reduce(leg) / n
-                stats.append((mean, math.sqrt(np.add.reduce(np.square(leg - mean)) / (n - 1)) / math.sqrt(n)))
+                leg -= mean
+                np.square(leg, out=leg)
+                stats.append((mean, math.sqrt(np.add.reduce(leg) / (n - 1)) / math.sqrt(n)))
             results.append(tuple(McResult(discount * float(m), discount * s, cfg.paths) for m, s in stats))
-        # free this pass's payoffs before the next pass allocates its own
-        del payoffs, samples, row
+        # free this pass's payoffs (every view of them too) before the next pass allocates its own
+        del payoffs, samples, row, leg
     return results
 
 

@@ -61,7 +61,6 @@ from .contracts import _require_integer
 __all__ = [
     "STREAM_SHARED",
     "path_normals",
-    "philox4x32",
 ]
 
 #: Round multipliers, one per row of the state's top half (c0, c2).
@@ -110,19 +109,17 @@ def _round_keys(key: tuple[int, int]) -> np.ndarray:
     return ((np.uint64([[key[0] & _MASK32], [key[1] & _MASK32]]) + _KEY_STEPS) & _MASK32)[..., None]
 
 
-def _rounds(
-    state: np.ndarray, product: np.ndarray, keys: np.ndarray, out: np.ndarray, first: int = 0
-) -> None:
-    """Run Philox rounds ``first`` to 9 on a (4, rows, n) ``state`` and write the output words to ``out``.
+def _rounds(state: np.ndarray, product: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
+    """Run Philox rounds 2 to 9 on a (4, rows, n) ``state`` and write the output words to ``out``.
 
-    ``state`` holds rows (c0, c2, c1, c3) and is overwritten; ``product`` is (2, rows, n)
-    scratch, ``keys`` from :func:`_round_keys`. Row 0 of the (2, rows, n) ``out`` receives
-    each block's (c0 << 32) | c1, row 1 its (c2 << 32) | c3.
+    ``state`` holds rows (c0, c2, c1, c3) after round 1 and is overwritten; ``product`` is
+    (2, rows, n) scratch, ``keys`` from :func:`_round_keys`. Row 0 of the (2, rows, n) ``out``
+    receives each block's (c0 << 32) | c1, row 1 its (c2 << 32) | c3.
     """
     top, bottom = state[:2], state[2:]
     # rows (c2 * M1, c0 * M0), whose halves become (c0, c1) and (c2, c3)
     swapped = product[::-1]
-    for round_key in keys[first:-1]:
+    for round_key in keys[2:-1]:
         np.multiply(top, _MULTIPLIERS, out=product)
         np.right_shift(swapped, 32, out=top)
         top ^= bottom
@@ -132,18 +129,6 @@ def _rounds(
     bottom ^= keys[-1]
     bottom <<= 32
     np.bitwise_xor(swapped, bottom, out=out)
-
-
-def philox4x32(
-    counter: tuple[int, int, int, int], key: tuple[int, int]
-) -> tuple[int, int, int, int]:
-    """Encrypt one block of 32-bit words (ValueError outside [0, 2^32)), for known answers."""
-    counter = [_require_integer(f"counter[{i}]", w, 0, _MASK32) for i, w in enumerate(counter)]
-    key = [_require_integer(f"key[{i}]", w, 0, _MASK32) for i, w in enumerate(key)]
-    state = np.array([counter[row] for row in (0, 2, 1, 3)], dtype=np.uint64).reshape(4, 1, 1)
-    words = np.empty((2, 1, 1), dtype=np.uint64)
-    _rounds(state, np.empty_like(words), _round_keys(key), words)
-    return tuple(int(word) >> shift & _MASK32 for word in words.ravel() for shift in (32, 0))
 
 
 def _to_unit_interval(bits: np.ndarray) -> np.ndarray:
@@ -272,7 +257,7 @@ def _draw_normals(
             np.bitwise_xor(c2_path, q0 & _MASK32, out=state[1])
             np.bitwise_and(q, _MASK32, out=state[2])
             state[3] = c3_path
-            _rounds(state, product, keys, pairs[b0 : b0 + k].swapaxes(0, 1), 2)
+            _rounds(state, product, keys, pairs[b0 : b0 + k].swapaxes(0, 1))
             u = _to_unit_interval(words[2 * b0 : 2 * (b0 + k)])
             if jobs is not None:
                 handed = k if split and b0 + k == blocks else 2 * k  # the last tile: half its rows

@@ -1,17 +1,21 @@
 """What two or more test files share: the default inputs, the benchmark's quote
-ranges, a Monte Carlo pin, and fresh interpreters that run this checkout's code,
-with source snippets for their probes."""
+ranges, a Monte Carlo pin, the full-grid validation sweeps, a memory probe, and
+fresh interpreters that run this checkout's code, with source snippets for their
+probes."""
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import strategies as st
 
-from monthlysum import ContractSpec, MarketParams, McResult
+from monthlysum import ContractSpec, MarketParams, McResult, run_validation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -40,6 +44,23 @@ def markets(term=st.floats(1.0, 10.0)):
         term=term,
         periods=st.sampled_from((4, 12, 52, 252)),
     )
+
+
+@functools.cache
+def full_grid(variant: str):
+    """``run_validation(variant=variant)`` on the 1200-point grid and its wall time, once a session."""
+    start = time.perf_counter()
+    report = run_validation(variant=variant)
+    return report, time.perf_counter() - start
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes ``tracemalloc`` traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 #: numpy's AVX-512 kernels, for NPY_DISABLE_CPU_FEATURES to switch off;

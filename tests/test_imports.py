@@ -5,8 +5,10 @@ pass to them."""
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import inspect
+import json
 import os
 from pathlib import Path
 
@@ -57,6 +59,7 @@ def test_public_names_are_pinned():
 
     assert monthlysum.__all__ == PUBLIC_NAMES
     assert all(hasattr(monthlysum, name) for name in PUBLIC_NAMES)
+    assert monthlysum.rng.__all__ == ["STREAM_SHARED", "path_normals"]
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -108,42 +111,43 @@ def test_cold_commands_load_only_the_scipy_they_use(argv, loads):
     assert out.strip().splitlines()[-1] == f"0 {loads!r}"
 
 
+#: Four default quotes, cap-only and floored at either order, then one draw;
+#: prints whether scipy.integrate was loaded after the quotes, and whether
+#: scipy.special and its compiled _ufuncs were, after the quotes and after the draw.
+QUOTES_THEN_A_DRAW = (
+    "import json, sys, monthlysum\n"
+    "from monthlysum import ContractSpec, MarketParams, price_ms\n"
+    "from monthlysum.rng import path_normals\n"
+    "market = MarketParams(0.03, 0.02, 0.2, 1.0, 12)\n"
+    "for contract in (ContractSpec(cap=0.025), ContractSpec(cap=0.025, floor=-0.05)):\n"
+    "    price_ms(contract, market)\n"
+    "    price_ms(contract, market, order=0)\n"
+    "integrate = 'scipy.integrate' in sys.modules\n"
+    "def loaded(): return [m in sys.modules for m in ('scipy.special', 'scipy.special._ufuncs')]\n"
+    "states = [loaded()]\n"
+    "path_normals(1, 0, 2, 3, 0)\n"
+    "states.append(loaded())\n"
+    "print(json.dumps({'integrate': integrate, 'special': states}))\n"
+)
+
+
+@functools.cache
+def quotes_then_a_draw():
+    """QUOTES_THEN_A_DRAW's output, from one child a session."""
+    return json.loads(probe(QUOTES_THEN_A_DRAW).strip().splitlines()[-1])
+
+
 def test_default_price_leaves_scipy_integrate_unloaded():
     # price_ms defaults to the closed correction, so a quote, cap-only or
     # floored, at either order, never reaches the quadrature oracle
-    source = (
-        "import sys, monthlysum\n"
-        "from monthlysum import ContractSpec, MarketParams, price_ms\n"
-        "market = MarketParams(0.03, 0.02, 0.2, 1.0, 12)\n"
-        "for contract in (ContractSpec(cap=0.025), ContractSpec(cap=0.025, floor=-0.05)):\n"
-        "    price_ms(contract, market)\n"
-        "    price_ms(contract, market, order=0)\n"
-        "print('scipy.integrate' in sys.modules)\n"
-    )
-    out = probe(source)
-    assert out.strip().splitlines()[-1] == "False"
+    assert quotes_then_a_draw()["integrate"] is False
 
 
 def test_closed_form_leaves_scipy_special_unloaded_until_a_draw():
     # the normal CDF is a Cephes port on math.exp; only the Monte Carlo
     # draws' ndtri loads scipy.special's compiled _ufuncs, at the first one,
     # and never the scipy.special package
-    source = (
-        "import sys, monthlysum\n"
-        "from monthlysum import ContractSpec, MarketParams, price_ms\n"
-        "from monthlysum.rng import path_normals\n"
-        "market = MarketParams(0.03, 0.02, 0.2, 1.0, 12)\n"
-        "for contract in (ContractSpec(cap=0.025), ContractSpec(cap=0.025, floor=-0.05)):\n"
-        "    price_ms(contract, market)\n"
-        "    price_ms(contract, market, order=0)\n"
-        "def loaded(): return [m in sys.modules for m in ('scipy.special', 'scipy.special._ufuncs')]\n"
-        "states = [loaded()]\n"
-        "path_normals(1, 0, 2, 3, 0)\n"
-        "states.append(loaded())\n"
-        "print(states)\n"
-    )
-    out = probe(source)
-    assert out.strip().splitlines()[-1] == "[[False, False], [False, True]]"
+    assert quotes_then_a_draw()["special"] == [[False, False], [False, True]]
 
 
 def _imports(tree: ast.AST):

@@ -34,7 +34,7 @@ from monthlysum.cli import main
 from monthlysum.montecarlo import _PAIR, BLOCK, _pairwise_rows, _run
 from monthlysum.rng import STREAM_SHARED, path_normals
 
-from checkout import CAP_FLOOR, CAP_ONLY, MARKET, MS_PIN
+from checkout import CAP_FLOOR, CAP_ONLY, MARKET, MS_PIN, traced_peak
 
 
 def _count_path_normals(monkeypatch) -> list[int]:
@@ -348,6 +348,27 @@ class TestScratch:
         assert all(jobs.empty() for jobs in rng._helper)
         cfg = McConfig(paths=BLOCK + 10, seed=5)
         assert simulate_ms(CAP_ONLY, market, cfg, threads=2) == simulate_ms(CAP_ONLY, market, cfg)
+
+
+class TestMemory:
+    # once the walk ends, an antithetic pair averages into its first leg and each
+    # leg's deviations are formed and squared in the leg, so the peak is the
+    # payoffs plus what the walk holds, about 0.2 MB here
+    @pytest.mark.parametrize(
+        "price, antithetic, legs",
+        (
+            (simulate_ms, False, 1),
+            (simulate_ms, True, 1),
+            (lambda c, m, cfg: _run(((c, m),), cfg, _PAIR, 1), False, 2),
+        ),
+        ids=("simulate_ms", "simulate_ms-antithetic", "mc-pair"),
+    )
+    def test_reductions_allocate_nothing_beside_the_payoffs(self, price, antithetic, legs):
+        cfg = McConfig(paths=100_000, seed=3, antithetic=antithetic)
+        price(CAP_ONLY, MARKET, cfg)  # loads ndtri and sizes the thread's scratch first
+        _, peak = traced_peak(lambda: price(CAP_ONLY, MARKET, cfg))
+        payoffs = 8 * legs * cfg.paths  # legs x signs x draw rows, as doubles
+        assert peak <= payoffs + 2**19, (peak, payoffs)
 
 
 def _mixed_values(seed: int, paths: int, periods: int) -> np.ndarray:

@@ -9,6 +9,7 @@ module was written.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -396,48 +397,31 @@ CLOSED_PINS = (
 )
 
 
-#: prices each (contract, market) pair read from stdin on the quadrature
-#: route and at the defaults, as PriceBreakdown dicts
-PRICE_STDIN = PAIRS + (
-    "import dataclasses\n"
-    "from monthlysum import price_ms\n"
-    "out = [price_ms(c, m, correction='quadrature') for c, m in pairs]\n"
-    "out += [price_ms(c, m) for c, m in pairs]\n"
-    "print(json.dumps([dataclasses.asdict(b) for b in out]))\n"
-)
-
-
-#: makes scipy.special unimportable, then prices each (contract, market)
-#: pair read from stdin at the defaults (the closed route), as
-#: PriceBreakdown dicts, and reports whether the block held
-CLOSED_WITHOUT_SCIPY_SPECIAL = REFUSE + "refuse('scipy.special')\n" + PAIRS + (
-    "import dataclasses, importlib\n"
-    "from monthlysum import price_ms\n"
-    "out = [dataclasses.asdict(price_ms(c, m)) for c, m in pairs]\n"
-    "try:\n"
-    "    importlib.import_module('scipy.special')\n"
-    "    blocked = False\n"
-    "except ModuleNotFoundError:\n"
-    "    blocked = True\n"
-    "print(json.dumps({'blocked': blocked, 'breakdowns': out}))\n"
-)
-
-
-#: makes scipy.integrate unimportable, then prices each (contract, market)
-#: pair read from stdin on the quadrature route and takes its quadrature
-#: moments, as dicts, and reports whether the block held
-QUADRATURE_WITHOUT_SCIPY_INTEGRATE = REFUSE + "refuse('scipy.integrate')\n" + PAIRS + (
+#: makes scipy.special and scipy.integrate unimportable, then prices each
+#: (contract, market) pair read from stdin on the quadrature route and at the
+#: defaults (the closed route), as PriceBreakdown dicts, takes its quadrature
+#: moments, as dicts, and reports whether each block held
+RESTRICTED_STDIN = REFUSE + "refuse('scipy.special')\nrefuse('scipy.integrate')\n" + PAIRS + (
     "import dataclasses, importlib\n"
     "from monthlysum import price_ms, quadrature_moments\n"
-    "out = [dataclasses.asdict(price_ms(c, m, correction='quadrature')) for c, m in pairs]\n"
+    "quadrature = [dataclasses.asdict(price_ms(c, m, correction='quadrature')) for c, m in pairs]\n"
+    "closed = [dataclasses.asdict(price_ms(c, m)) for c, m in pairs]\n"
     "moments = [dataclasses.asdict(quadrature_moments(m, c)) for c, m in pairs]\n"
-    "try:\n"
-    "    importlib.import_module('scipy.integrate')\n"
-    "    blocked = False\n"
-    "except ModuleNotFoundError:\n"
-    "    blocked = True\n"
-    "print(json.dumps({'blocked': blocked, 'breakdowns': out, 'moments': moments}))\n"
+    "def blocked(package):\n"
+    "    try:\n"
+    "        importlib.import_module(package)\n"
+    "    except ModuleNotFoundError:\n"
+    "        return True\n"
+    "    return False\n"
+    "print(json.dumps({'quadrature': quadrature, 'closed': closed, 'moments': moments,\n"
+    "                  'blocked': [blocked('scipy.special'), blocked('scipy.integrate')]}))\n"
 )
+
+
+@functools.cache
+def restricted_pins():
+    """RESTRICTED_STDIN's output on EXACT_PINS' inputs, numpy's AVX-512 kernels off; once a session."""
+    return json.loads(probe(RESTRICTED_STDIN, stdin=PINS_STDIN, NPY_DISABLE_CPU_FEATURES=NO_AVX512))
 
 
 #: hides QUADPACK's compiled module from the direct load (as another scipy
@@ -519,32 +503,30 @@ class TestExactPins:
         want = _closed_pin(expected, pin)
         assert _hexed(dataclasses.asdict(got)) == _hexed(dataclasses.asdict(want))
 
+    # the next three read one child, in which numpy's AVX-512 kernels are off
+    # and neither scipy.special nor scipy.integrate can be imported
     def test_prices_do_not_depend_on_numpys_exp_kernel(self):
-        # the same sixteen breakdowns, both routes, bit for bit, with numpy's
-        # AVX-512 exp off
-        out = probe(PRICE_STDIN, stdin=PINS_STDIN, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
-        got = [_hexed(b) for b in json.loads(out)]
+        # the same sixteen breakdowns, both routes, bit for bit
+        got = restricted_pins()
         want = [price_ms(c, m, correction="quadrature") for c, m, _ in EXACT_PINS]
         want += [price_ms(c, m) for c, m, _ in EXACT_PINS]
-        assert got == [_hexed(dataclasses.asdict(b)) for b in want]
-
-
-    def test_closed_route_needs_no_scipy_special(self):
-        # the same eight closed-route pins, in a process where scipy.special
-        # cannot be imported: the normal CDF is a port of scipy's erfc
-        got = json.loads(probe(CLOSED_WITHOUT_SCIPY_SPECIAL, stdin=PINS_STDIN))
-        assert got["blocked"]
-        want = [_closed_pin(expected, pin) for (_, _, expected), pin in zip(EXACT_PINS, CLOSED_PINS)]
-        assert [_hexed(b) for b in got["breakdowns"]] == [
+        assert [_hexed(b) for b in got["quadrature"] + got["closed"]] == [
             _hexed(dataclasses.asdict(b)) for b in want
         ]
 
+    def test_closed_route_needs_no_scipy_special(self):
+        # the eight closed-route pins: the normal CDF is a port of scipy's erfc
+        got = restricted_pins()
+        assert got["blocked"][0]
+        want = [_closed_pin(expected, pin) for (_, _, expected), pin in zip(EXACT_PINS, CLOSED_PINS)]
+        assert [_hexed(b) for b in got["closed"]] == [_hexed(dataclasses.asdict(b)) for b in want]
+
     def test_quadrature_route_needs_no_scipy_integrate(self):
-        # the eight quadrature-route pins, in a process where scipy.integrate
-        # cannot be imported: the oracle calls QUADPACK's compiled qagse itself
-        got = json.loads(probe(QUADRATURE_WITHOUT_SCIPY_INTEGRATE, stdin=PINS_STDIN))
-        assert got["blocked"]
-        assert [_hexed(b) for b in got["breakdowns"]] == [
+        # the eight quadrature-route pins and their moments: the oracle calls
+        # QUADPACK's compiled qagse itself
+        got = restricted_pins()
+        assert got["blocked"][1]
+        assert [_hexed(b) for b in got["quadrature"]] == [
             _hexed(dataclasses.asdict(expected)) for _, _, expected in EXACT_PINS
         ]
         assert [_hexed(m) for m in got["moments"]] == [

@@ -23,6 +23,8 @@ from monthlysum.validation import (
     write_discrepancy_log,
 )
 
+from checkout import full_grid
+
 CAP_POINT = GridPoint(sigma=0.20, cap=0.025, floor=None, rate=0.03, div_yield=0.02)
 FLOOR_POINT = GridPoint(sigma=0.20, cap=0.025, floor=-0.05, rate=0.03, div_yield=0.02)
 
@@ -79,8 +81,8 @@ class TestCorrectedVariant:
 
     def test_full_grid_errors_are_bit_exact(self):
         # compared with ==: every bit of the quadrature oracle and the
-        # closed forms feeds these worst errors
-        report = run_validation()
+        # closed forms feeds these worst errors (the sweep test_acceptance reads)
+        report, _ = full_grid(CORRECTED)
         assert report.passed
         assert report.max_rel_err == {
             "I1_cap": 2.484991378380443e-14,
@@ -164,7 +166,7 @@ class TestPrintedVariant:
     def test_full_grid_outcome_is_pinned(self):
         # the corrected variant fails nowhere on the full grid
         # (test_full_grid_errors_are_bit_exact); these are the printed counts
-        report = run_validation(variant=PRINTED)
+        report, _ = full_grid(PRINTED)
         assert Counter(f.check for f in report.failures) == {
             "ms1_closed": 1200,
             "I1_capfloor": 960,
