@@ -7,28 +7,28 @@ Two payoffs are simulated on the same monthly Gaussian draws:
 * ``simulate_msln``: the lognormal proxy the closed form actually prices,
   max(exp(sum of capped log monthly returns) - 1, 0).
 
-Draws come from the counter-based generator in :mod:`monthlysum.rng`, all
-on its one stream :data:`~monthlysum.rng.STREAM_SHARED`, so a path's
-normals are a pure function of (seed, draw row). One walk, ``rng._blocks``,
-hands out the rows in blocks of :data:`BLOCK`, for prices and cumulants
-alike; an antithetic pair reads one row twice, as z and as -z. All
-reductions happen after assembly. A block is period-major, (periods,
-paths), in the thread's scratch; a payoff reads its leading rows and sums
-each path in numpy's pairwise order on whole rows. ``threads`` (an integer
-of at least 1) only says whether the walk may overlap a block's ``ndtri``
-with its Philox rounds and with the pricing of the block before it, on a
-helper thread, at 2 or more (:mod:`monthlysum.rng` owns that schedule); the
-results are the same at every count.
+Draws come from the counter-based generator in :mod:`monthlysum.rng`,
+all on its one stream :data:`~monthlysum.rng.STREAM_SHARED`, so a path's
+normals are a pure function of (seed, draw row). One walk,
+``rng._blocks``, hands out the rows in blocks of :data:`BLOCK`, for
+prices and cumulants alike; an antithetic pair reads one row twice, as z
+and as -z, and adds its two payoffs as they are priced. All reductions
+happen after the walk. A block is period-major, (periods, paths), in the
+thread's scratch; a payoff reads its leading rows and sums each path in
+numpy's pairwise order on whole rows. ``threads`` (an integer of at
+least 1) only says whether the walk may overlap a block's ``ndtri`` with
+its Philox rounds and with the pricing of the block before it, on a
+helper thread, at 2 or more (:mod:`monthlysum.rng` owns that schedule);
+the results are the same at every count.
 
 Both payoffs read the same draws (common random numbers), so their
 difference is a low-variance estimate of the capping-convention gap. The
-rows of a ``sweep`` share them too: their normals do not depend on sigma,
-cap, floor, rate or dividend, and a path's first n normals are the same
-whatever count is drawn. One pass over the blocks draws each block once,
-at the widest period count, and every payoff of every row reads its
-leading rows. A pass keeps rows x payoffs x paths values alive, so
-rows share a pass only as far as :data:`_PASS_VALUES` (32 MiB) allows;
-the rest take further passes, with the same results.
+rows of a ``sweep`` share them too: their normals do not depend on
+sigma, cap, floor, rate or dividend, and a path's first n normals are
+the same whatever count is drawn. One pass over the blocks draws each
+block once, at the widest period count, and every payoff of every row
+reads its leading rows. Rows share a pass as far as :data:`_PASS_VALUES`
+allows; the rest take further passes, with the same results.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ __all__ = [
 ]
 
 #: Payoff values one pass over the blocks may hold (2^22 doubles, 32 MiB):
-#: rows x legs x paths. Rows beyond it take further passes, each drawing
-#: the blocks again; at 4096 paths and two legs, 512 rows share a pass.
+#: rows x legs x draw rows, where a draw row is one path or one antithetic pair.
+#: Rows beyond it take further passes, each drawing the blocks again; at 4096
+#: paths and two legs, 512 rows share a pass, or 1024 antithetic.
 _PASS_VALUES = 2**22
 
 
@@ -91,6 +92,10 @@ class McResult:
     mean: float
     stderr: float
     paths_used: int
+
+
+#: The (contract, market) rows that ``_run`` prices on common draws.
+_Rows = Sequence[tuple[ContractSpec, MarketParams]]
 
 
 def _capped_sums(
@@ -148,59 +153,53 @@ def _pairwise_rows(x: np.ndarray) -> np.ndarray:
     return x[0]
 
 
-def _run(
-    rows: Sequence[tuple[ContractSpec, MarketParams]],
-    cfg: McConfig,
-    legs: tuple[bool, ...],
-    threads: int,
-) -> list[tuple[McResult, ...]]:
-    """Price each leg of every (contract, market) row; a leg is its log-payoff flag.
-
-    Returns one tuple of results per row, in leg order. Each draw row is priced
-    as the signed leg (flag, +1) and, if antithetic, (flag, -1), the two
-    averaged into one sample. The rows are cut into passes, as many to a pass as
-    keep its payoffs within :data:`_PASS_VALUES`. A pass draws each block once,
-    at the widest period count among its rows, and each row reads its leading
-    ``periods`` rows of it: a path's normals do not depend on how many are drawn.
-    Only the last (signed leg, row) of a pass works on the block in place. Once the
-    walk ends, the reductions work in the payoffs and allocate nothing beside them.
-    """
+def _run(rows: _Rows, cfg: McConfig, legs: tuple[bool, ...], threads: int) -> list[tuple[McResult, ...]]:
+    """One tuple per (contract, market) row: its result for each leg (a log-payoff flag), in order."""
     _require_integer("threads", threads, 1)
+    draws = cfg.paths // 2 if cfg.antithetic else cfg.paths
+    per_pass = max(1, _PASS_VALUES // (len(legs) * draws))
+    passes = range(0, len(rows), per_pass)
+    return [res for lo in passes for res in _pass(rows[lo : lo + per_pass], cfg, legs, draws, threads)]
+
+
+def _pass(
+    chunk: _Rows, cfg: McConfig, legs: tuple[bool, ...], draws: int, threads: int
+) -> list[tuple[McResult, ...]]:
+    """``_run``'s results for one pass's rows; its payoffs, (rows, legs, draw rows), die on return.
+
+    Each block is drawn once, at the widest period count: a path's normals do not depend on
+    how many are drawn. If antithetic, a leg's payoff on -z adds into its payoff on z, and the
+    sums are halved after the walk. Only the last (leg, sign, row) works on the block in place;
+    the reductions work in the payoffs and allocate nothing beside them.
+    """
     signs = (1.0, -1.0) if cfg.antithetic else (1.0,)
-    signed = [(log_payoff, sign) for log_payoff in legs for sign in signs]
-    draws = cfg.paths // len(signs)
-    per_pass = max(1, _PASS_VALUES // (len(legs) * cfg.paths))
-    results: list[tuple[McResult, ...]] = []
-    for lo in range(0, len(rows), per_pass):
-        chunk = rows[lo : lo + per_pass]
-        payoffs = np.empty((len(chunk), len(signed), draws), dtype=np.float64)
-        last = (len(signed) - 1, len(chunk) - 1)
-        for start, stop, z in _blocks(cfg.seed, draws, max(m.periods for _, m in chunk), threads):
-            for i, (log_payoff, sign) in enumerate(signed):
+    payoffs = np.empty((len(chunk), len(legs), draws), dtype=np.float64)
+    last = (len(legs) - 1, signs[-1], len(chunk) - 1)
+    for start, stop, z in _blocks(cfg.seed, draws, max(m.periods for _, m in chunk), threads):
+        for i, log_payoff in enumerate(legs):
+            for sign in signs:
                 for r, (contract, market) in enumerate(chunk):
                     sums = _capped_sums(
-                        contract, market, z[: market.periods], log_payoff, sign, (i, r) == last
+                        contract, market, z[: market.periods], log_payoff, sign, (i, sign, r) == last
                     )
                     if log_payoff:
                         np.expm1(sums, out=sums)
-                    np.maximum(sums, 0.0, out=payoffs[r, i, start:stop])
-
-        samples = payoffs[:, :: len(signs)]  # an antithetic pair averages into its first leg
-        if cfg.antithetic:
-            samples += payoffs[:, 1::2]
-            samples *= 0.5
-        n = samples.shape[-1]
-        for (_, market), row in zip(chunk, samples):
-            discount = math.exp(-market.rate * market.term)
-            stats = []
-            for leg in row:  # mean() and std(ddof=1) in numpy's own steps, one sum each, in the leg
-                mean = np.add.reduce(leg) / n
-                leg -= mean
-                np.square(leg, out=leg)
-                stats.append((mean, math.sqrt(np.add.reduce(leg) / (n - 1)) / math.sqrt(n)))
-            results.append(tuple(McResult(discount * float(m), discount * s, cfg.paths) for m, s in stats))
-        # free this pass's payoffs (every view of them too) before the next pass allocates its own
-        del payoffs, samples, row, leg
+                    if sign > 0:
+                        np.maximum(sums, 0.0, out=payoffs[r, i, start:stop])
+                    else:
+                        payoffs[r, i, start:stop] += np.maximum(sums, 0.0, out=sums)
+    if cfg.antithetic:
+        payoffs *= 0.5
+    results = []
+    for (_, market), row in zip(chunk, payoffs):
+        discount = math.exp(-market.rate * market.term)
+        stats = []
+        for leg in row:  # mean() and std(ddof=1) in numpy's own steps, one sum each, in the leg
+            mean = np.add.reduce(leg) / draws
+            leg -= mean
+            np.square(leg, out=leg)
+            stats.append((mean, math.sqrt(np.add.reduce(leg) / (draws - 1)) / math.sqrt(draws)))
+        results.append(tuple(McResult(discount * float(m), discount * s, cfg.paths) for m, s in stats))
     return results
 
 

@@ -1,11 +1,13 @@
 """What two or more test files share: the default inputs, the benchmark's quote
-ranges, a Monte Carlo pin, the full-grid validation sweeps, a memory probe, and
-fresh interpreters that run this checkout's code, with source snippets for their
-probes."""
+ranges and recorded outputs, a Monte Carlo pin, the full-grid validation sweeps, a
+memory probe, and fresh interpreters that run this checkout's code, with source
+snippets for their probes."""
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +20,12 @@ from hypothesis import strategies as st
 from monthlysum import ContractSpec, MarketParams, McResult, run_validation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
+
+#: The benchmark's recorded outputs: ``simulate_probe`` (perfbench's
+#: ``probe_results``), ``cli_stdout`` by command kind, and ``validate_printed``,
+#: the printed variant's full-grid failures by check and its discrepancy count.
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
 
 #: The CLI's default market and contract, and that contract with a floor.
 MARKET = MarketParams(rate=0.03, dividend_yield=0.02, sigma=0.20, term=1.0, periods=12)
@@ -52,6 +60,16 @@ def full_grid(variant: str):
     start = time.perf_counter()
     report = run_validation(variant=variant)
     return report, time.perf_counter() - start
+
+
+@functools.cache
+def workloads():
+    """``perfbench/workloads.py``, loaded by path and only read: its command lines and probe."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up as they are built
+    spec.loader.exec_module(module)
+    return module
 
 
 def traced_peak(call):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import resource
 import sys
 
@@ -14,34 +15,13 @@ from monthlysum import ContractSpec, MarketParams, cli, price_ms
 from monthlysum.cli import main
 from monthlysum.errors import QuadratureConvergenceError
 
-from checkout import python
+from checkout import GOLDEN, python, workloads
 
 
-#: Exact stdout of `price` and `price --floor -0.05 --format csv`; a change to
-#: any closed-form bit shows here.
-PRICE_STDOUT = (
-    '{\n'
-    '  "cap": 0.025,\n'
-    '  "floor": null,\n'
-    '  "vol": 0.2,\n'
-    '  "rate": 0.03,\n'
-    '  "div": 0.02,\n'
-    '  "term": 1.0,\n'
-    '  "months": 12,\n'
-    '  "order": 1,\n'
-    '  "ms0": 0.010350588623120771,\n'
-    '  "ms1": -0.002002806457090145,\n'
-    '  "total": 0.008347782166030627,\n'
-    '  "nu": -0.1598218576116548,\n'
-    '  "v": 0.14538601334078638,\n'
-    '  "eps1": -0.05172030486750738,\n'
-    '  "y_eff": 0.17925331117409113\n'
-    '}\n'
-)
-PRICE_FLOOR_CSV_STDOUT = (
-    'cap,floor,vol,rate,div,term,months,order,ms0,ms1,total,nu,v,eps1,y_eff\n'
-    '0.025,-0.05,0.2,0.03,0.02,1,12,1,0.0125180505663,-0.000412113079211,0.0121059374871,-0.0868617565271,0.105789020533,-0.0150682195067,0.111266098094\n'
-)
+#: Exact stdout of `price` and `price --floor -0.05 --format csv`, as the
+#: benchmark recorded them; a change to any closed-form bit shows here.
+PRICE_STDOUT = GOLDEN["cli_stdout"]["price"]
+PRICE_FLOOR_CSV_STDOUT = GOLDEN["cli_stdout"]["price_csv"]
 
 
 def run_cli(capsys, *argv):
@@ -597,6 +577,17 @@ class TestByteStability:
         assert a.returncode == 0, a.stderr.decode()
         assert a.stdout
         assert a.stdout == b.stdout
+
+
+class TestGoldenOutputs:
+    # the benchmark's cli workload runs these commands and checks the same bytes
+    COMMANDS = workloads().cli_commands(os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("kind", COMMANDS)
+    def test_benchmark_commands_print_the_recorded_stdout(self, capsys, kind):
+        code, out, _ = run_cli(capsys, *self.COMMANDS[kind])
+        assert code == 0
+        assert out == GOLDEN["cli_stdout"][kind.split("-")[0]]
 
 
 class TestValidateCommand:

@@ -8,6 +8,7 @@ within 2 standard errors of that independent estimate.
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +35,7 @@ from monthlysum.cli import main
 from monthlysum.montecarlo import _PAIR, BLOCK, _pairwise_rows, _run
 from monthlysum.rng import STREAM_SHARED, path_normals
 
-from checkout import CAP_FLOOR, CAP_ONLY, MARKET, MS_PIN, traced_peak
+from checkout import CAP_FLOOR, CAP_ONLY, GOLDEN, MARKET, MS_PIN, traced_peak, workloads
 
 
 def _count_path_normals(monkeypatch) -> list[int]:
@@ -102,6 +103,12 @@ class TestExactPins:
             iota2=0.0005734862528121107,
             iota3=-1.4576252584785535e-06,
         )
+
+
+class TestGoldenOutputs:
+    def test_benchmark_probe_reads_the_recorded_results(self):
+        # perfbench's simulate workload checks the same values after each run
+        assert workloads().probe_results(os.cpu_count() or 1) == GOLDEN["simulate_probe"]
 
 
 class TestDeterminism:
@@ -228,6 +235,21 @@ class TestSharedPasses:
         assert capsys.readouterr().out == one_pass
         assert len(drawn) == 3 * math.ceil(paths / BLOCK)
 
+    def test_antithetic_rows_hold_one_payoff_per_pair(self, monkeypatch, capsys):
+        paths = 2 * BLOCK + 38
+        argv = ["sweep", "--axis", "vol", "--from", "0.1", "--to", "0.3", "--step", "0.05",
+                "--mc-paths", str(paths), "--antithetic"]
+        assert main(argv) == 0
+        one_pass = capsys.readouterr().out
+        # a pair's two payoffs add into one slot, so two rows of two legs fit
+        # in 2 x 2 x pairs values and the five rows take three passes
+        pairs = paths // 2
+        monkeypatch.setattr(montecarlo, "_PASS_VALUES", 2 * 2 * pairs + 1)
+        drawn = _count_path_normals(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == one_pass
+        assert len(drawn) == 3 * math.ceil(pairs / BLOCK)
+
 
 def _antithetic_reference(contract, market, paths, seed, log_payoff):
     """The antithetic estimate by its definition: pair k prices draw row k on z and on -z."""
@@ -351,23 +373,25 @@ class TestScratch:
 
 
 class TestMemory:
-    # once the walk ends, an antithetic pair averages into its first leg and each
-    # leg's deviations are formed and squared in the leg, so the peak is the
-    # payoffs plus what the walk holds, about 0.2 MB here
+    # an antithetic pair adds its two payoffs into one slot as they are priced, and
+    # each leg's deviations are formed and squared in the leg once the walk ends,
+    # so the peak is one payoff per (leg, draw row) plus what the walk holds, about
+    # 0.2 MB here
     @pytest.mark.parametrize(
         "price, antithetic, legs",
         (
             (simulate_ms, False, 1),
             (simulate_ms, True, 1),
-            (lambda c, m, cfg: _run(((c, m),), cfg, _PAIR, 1), False, 2),
+            (_price_pair, False, 2),
+            (_price_pair, True, 2),
         ),
-        ids=("simulate_ms", "simulate_ms-antithetic", "mc-pair"),
+        ids=("simulate_ms", "simulate_ms-antithetic", "mc-pair", "mc-pair-antithetic"),
     )
     def test_reductions_allocate_nothing_beside_the_payoffs(self, price, antithetic, legs):
         cfg = McConfig(paths=100_000, seed=3, antithetic=antithetic)
         price(CAP_ONLY, MARKET, cfg)  # loads ndtri and sizes the thread's scratch first
         _, peak = traced_peak(lambda: price(CAP_ONLY, MARKET, cfg))
-        payoffs = 8 * legs * cfg.paths  # legs x signs x draw rows, as doubles
+        payoffs = 8 * legs * (cfg.paths // 2 if antithetic else cfg.paths)  # doubles
         assert peak <= payoffs + 2**19, (peak, payoffs)
 
 
